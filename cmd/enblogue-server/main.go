@@ -57,7 +57,6 @@ func (o hubOpener) CloseTenant(name string) bool            { return o.hub.Close
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	speedup := flag.Float64("speedup", 600, "time-lapse factor (event time / wall time)")
-	shards := flag.Int("shards", 0, "engine shards (0: one per CPU; rankings are shard-count independent)")
 	historyTicks := flag.Int("history", 10000, "ranking history length in ticks (default tenant; others get the same)")
 	tenants := flag.String("tenants", "", "comma-separated tenant names to bootstrap beside the default replay tenant")
 	dataDir := flag.String("data-dir", "", "durability root: per-tenant snapshots + WAL live under it; empty disables persistence")
@@ -93,7 +92,6 @@ func main() {
 		enblogue.WithMinCooccurrence(3),
 		enblogue.WithTopK(10),
 		enblogue.WithUpOnly(),
-		enblogue.WithShards(*shards),
 	}
 	if *dataDir != "" {
 		defaults = append(defaults, enblogue.WithDurability(*dataDir))
@@ -221,8 +219,8 @@ func main() {
 		_ = httpSrv.Shutdown(shutdownCtx) // drain in-flight requests
 	}()
 
-	fmt.Printf("enblogue-server: %d docs looping at %.0fx over %d shards; tenants %v; listening on %s\n",
-		len(items), *speedup, engine.Shards(), append([]string{server.DefaultTenant}, extra...), *addr)
+	fmt.Printf("enblogue-server: %d docs looping at %.0fx; tenants %v; listening on %s\n",
+		len(items), *speedup, append([]string{server.DefaultTenant}, extra...), *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "enblogue-server: %v\n", err)
 		os.Exit(1)

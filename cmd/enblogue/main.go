@@ -30,7 +30,6 @@ func main() {
 	tickH := flag.Int("tick", 1, "evaluation tick in hours")
 	halfLifeH := flag.Int("halflife", 48, "score half-life in hours")
 	upOnly := flag.Bool("up-only", true, "score only correlation increases")
-	shards := flag.Int("shards", 0, "engine shards (0: one per CPU; rankings are shard-count independent)")
 	quiet := flag.Bool("quiet", false, "print only the final ranking")
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 		enblogue.WithPredictor(p),
 		enblogue.WithHalfLife(time.Duration(*halfLifeH) * time.Hour),
 		enblogue.WithTopK(*topk),
-		enblogue.WithShards(*shards),
 	}
 	if *upOnly {
 		opts = append(opts, enblogue.WithUpOnly())

@@ -1,13 +1,20 @@
-// Acceptance tests for the tiered memory model's determinism contract:
-// with the sketch tail disabled (the default), rankings are bit-identical
-// across shard counts on both bundled scenarios even under eviction
-// pressure — the tier's eviction-path changes (victim collection, the
-// admission floor) must be invisible — and an enabled but unpressured tail
-// is inert.
+// Acceptance tests for the engine's determinism contract. With the sketch
+// tail disabled (the default), the full broadcast ranking sequence of every
+// pinned configuration — both bundled scenarios, uncapped and under
+// eviction caps, and distribution mode — must reproduce a golden SHA-256
+// digest byte for byte. The digests were recorded from the one-shard
+// engine of the sharded era, so any refactor of the tracking, detection or
+// tick path that moves a score by one ULP, reorders a tie, or shifts a tick
+// fails here. An enabled but unpressured tail must be inert.
 package enblogue_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -50,58 +57,106 @@ func mustEqualRankings(t *testing.T, label string, got, want []enblogue.Ranking)
 	}
 }
 
+// digestOptions is the shared engine shape of every digest configuration:
+// a 12-hour window, a small seed set and top-k so eviction caps bite.
+func digestOptions(extra ...enblogue.Option) []enblogue.Option {
+	return append([]enblogue.Option{
+		enblogue.WithWindow(12, time.Hour),
+		enblogue.WithSeedCount(10),
+		enblogue.WithSeedWarmup(20),
+		enblogue.WithTopK(10),
+	}, extra...)
+}
+
+// writeString appends a length-prefixed string to the digest.
+func writeString(h hash.Hash, s string) {
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
+	h.Write(n[:])
+	h.Write([]byte(s))
+}
+
+// writeUint64 appends a little-endian word to the digest.
+func writeUint64(h hash.Hash, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+// rankingDigest hashes a ranking sequence's canonical bytes: per ranking
+// its At in unix nanos, its seeds, and per topic the pair string and the
+// float64 bits of Score, Correlation, Predicted, Error and Cooccurrence.
+// Every variable-length part is length-prefixed, so distinct sequences
+// cannot collide by concatenation.
+func rankingDigest(rs []enblogue.Ranking) string {
+	h := sha256.New()
+	writeUint64(h, uint64(len(rs)))
+	for _, r := range rs {
+		writeUint64(h, uint64(r.At.UnixNano()))
+		writeUint64(h, uint64(len(r.Seeds)))
+		for _, s := range r.Seeds {
+			writeString(h, s)
+		}
+		writeUint64(h, uint64(len(r.Topics)))
+		for _, tp := range r.Topics {
+			writeString(h, tp.Pair.String())
+			for _, f := range []float64{tp.Score, tp.Correlation, tp.Predicted, tp.Error, tp.Cooccurrence} {
+				writeUint64(h, math.Float64bits(f))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTailDisabledRankingsBitIdentical pins every configuration's full
+// broadcast ranking sequence to its golden digest. Alongside the digest it
+// checks what each run must show regardless: the last broadcast equals
+// CurrentRanking, no tier state exists without WithTailSketch, and a cap
+// below the workload's pair count actually evicts. (At MaxPairs 200 the
+// archive never exceeds the cap, but the cap still moves the sweep
+// schedule, so its digest differs from the uncapped one.)
 func TestTailDisabledRankingsBitIdentical(t *testing.T) {
 	tweets, _ := enblogue.TweetScenario(12 * time.Hour)
 	archive, _ := enblogue.ArchiveScenario(time.Date(2007, 8, 1, 0, 0, 0, 0, time.UTC), 5)
-	scenarios := []struct {
-		name     string
-		items    enblogue.Items
-		maxPairs int
-		// The tweet workload holds ~1650 windowed pairs, so a 300-pair cap
-		// keeps the eviction path hot; the archive runs uncapped and covers
-		// the no-pressure shape. (The archive under a tight cap exhibits a
-		// one-ULP cross-shard score difference that predates the tier — see
-		// the pre-existing eviction float-summation ordering — so it is not
-		// used to pin the eviction path here.)
+	cases := []struct {
+		name          string
+		items         enblogue.Items
+		opts          []enblogue.Option
 		wantEvictions bool
+		want          string
 	}{
-		{"tweets", tweets, 300, true},
-		{"archive", archive, 0, false},
+		{"tweets", tweets, []enblogue.Option{enblogue.WithMaxPairs(300)}, true,
+			"c7c815f8bd951d1c9fa85314ed74b4d79fa9977a05b378d186c4abeb76d5edbe"},
+		{"tweets-uncapped", tweets, nil, false,
+			"c7c815f8bd951d1c9fa85314ed74b4d79fa9977a05b378d186c4abeb76d5edbe"},
+		{"archive", archive, nil, false,
+			"0cc52f7f068cf268f25d0c5bab80fc977a0d7833dbca864dc06fd075d362d4c5"},
+		{"archive-maxpairs-100", archive, []enblogue.Option{enblogue.WithMaxPairs(100)}, true,
+			"e882c2e1b8601df40bf10e349bacf2e2708530932c457a7695742146e742b2e3"},
+		{"archive-maxpairs-200", archive, []enblogue.Option{enblogue.WithMaxPairs(200)}, false,
+			"1b865f073ca74518dbc25f830f62035ec2e155ac1af2694829649a712bc774e5"},
+		{"archive-distribution", archive, []enblogue.Option{enblogue.WithDistributionMode()}, false,
+			"6e34138c13d482d7d60f9afb99785b65523a1c35900fd7ab5b832654e3667021"},
 	}
-
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			var reference []enblogue.Ranking
-			for _, shards := range []int{1, 8} {
-				opts := []enblogue.Option{
-					enblogue.WithWindow(12, time.Hour),
-					enblogue.WithSeedCount(10),
-					enblogue.WithSeedWarmup(20),
-					enblogue.WithMaxPairs(sc.maxPairs),
-					enblogue.WithTopK(10),
-					enblogue.WithShards(shards),
-				}
-				got, engine := runRankings(t, sc.items, opts...)
-				ts := engine.TailStats()
-				if ts.Enabled || ts.TailPairs != 0 || ts.Promotions != 0 || ts.ApproxSeededPairs != 0 {
-					t.Fatalf("shards=%d: tier state without WithTailSketch: %+v", shards, ts)
-				}
-				var evicted, demoted int64
-				for i := range ts.EvictedByShard {
-					evicted += ts.EvictedByShard[i]
-					demoted += ts.DemotedByShard[i]
-				}
-				if sc.wantEvictions && evicted == 0 {
-					t.Fatalf("shards=%d: no evictions — the cap is not exercising the tier seam", shards)
-				}
-				if demoted != 0 {
-					t.Fatalf("shards=%d: %d demotions with the tail disabled", shards, demoted)
-				}
-				if reference == nil {
-					reference = got
-					continue
-				}
-				mustEqualRankings(t, sc.name, got, reference)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, engine := runRankings(t, tc.items, digestOptions(tc.opts...)...)
+			if cur := engine.CurrentRanking(); !reflect.DeepEqual(got[len(got)-1], cur) {
+				t.Fatalf("last broadcast != CurrentRanking\nbroadcast: %+v\ncurrent:   %+v", got[len(got)-1], cur)
+			}
+			ts := engine.TailStats()
+			if ts.Enabled || ts.TailPairs != 0 || ts.Promotions != 0 || ts.ApproxSeededPairs != 0 {
+				t.Fatalf("tier state without WithTailSketch: %+v", ts)
+			}
+			evicted, demoted := ts.EvictedByShard[0], ts.DemotedByShard[0]
+			if tc.wantEvictions && evicted == 0 {
+				t.Fatal("no evictions: the cap does not exercise the eviction path")
+			}
+			if demoted != 0 {
+				t.Fatalf("%d demotions with the tail disabled", demoted)
+			}
+			if d := rankingDigest(got); d != tc.want {
+				t.Errorf("digest over %d rankings = %s, want %s", len(got), d, tc.want)
 			}
 		})
 	}
@@ -112,16 +167,8 @@ func TestTailDisabledRankingsBitIdentical(t *testing.T) {
 // to the default engine's.
 func TestTailSketchInertWithoutEvictionPressure(t *testing.T) {
 	tweets, _ := enblogue.TweetScenario(12 * time.Hour)
-	base := []enblogue.Option{
-		enblogue.WithWindow(12, time.Hour),
-		enblogue.WithSeedCount(10),
-		enblogue.WithSeedWarmup(20),
-		enblogue.WithTopK(10),
-		enblogue.WithShards(4),
-	}
-	want, _ := runRankings(t, tweets, base...)
-	got, engine := runRankings(t, tweets,
-		append(base, enblogue.WithTailSketch(0.01, 0.01, 256))...)
+	want, _ := runRankings(t, tweets, digestOptions()...)
+	got, engine := runRankings(t, tweets, digestOptions(enblogue.WithTailSketch(0.01, 0.01, 256))...)
 
 	ts := engine.TailStats()
 	if !ts.Enabled {

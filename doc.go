@@ -18,7 +18,6 @@
 // ingest pipeline serves many differently-ranked views.
 //
 //	engine := enblogue.New(
-//		enblogue.WithShards(8),
 //		enblogue.WithMeasure(enblogue.Jaccard),
 //		enblogue.WithTopK(10),
 //	)
@@ -62,11 +61,12 @@
 // examples use only this public package. The benchmarks in bench_test.go
 // regenerate every evaluation artifact of the paper; see DESIGN.md.
 //
-// The engine core is sharded and concurrent: the pair space is partitioned
-// by hash across shards, ingest fans candidate pairs out to per-shard
-// locked trackers, and every evaluation tick scores all shards in parallel
-// before a deterministic top-k merge. Rankings are bit-identical for every
-// shard count, so sharding is purely a throughput knob; see DESIGN.md §3.
+// Each engine holds one pair tracker, one shift detector and one cold-tier
+// tail: ingest applies every document whole under the engine lock, and
+// every evaluation tick scores the tracked pairs serially through a
+// bounded top-k heap. An earlier sharded core partitioned the pair space
+// and evaluated shards in parallel; measured end to end it paid on no
+// workload and was removed; see DESIGN.md §3.
 // The subscription broker and the versioned /v1 wire contract are
 // documented in DESIGN.md §5.
 package enblogue

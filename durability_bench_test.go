@@ -19,13 +19,13 @@ import (
 
 // BenchmarkWALAppend measures the ingest path with and without the WAL.
 // Each pass over the workload is re-timestamped one span later so ticks
-// keep firing at the stream's real cadence, same as ThroughputSharded.
+// keep firing at the stream's real cadence, same as ThroughputSerial.
 func BenchmarkWALAppend(b *testing.B) {
 	items := throughputDocs(b)
 	span := items[len(items)-1].Time.Sub(items[0].Time) + time.Hour
 	for _, wal := range []bool{false, true} {
 		name := "wal-off"
-		opts := []enblogue.Option{enblogue.WithShards(4)}
+		var opts []enblogue.Option
 		if wal {
 			name = "wal-on"
 			opts = append(opts, enblogue.WithDurability(b.TempDir(),
@@ -48,13 +48,12 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // BenchmarkSnapshotRestore measures the two halves of the durability
 // round trip over a 15k-document, multi-tick engine state: writing one
-// full snapshot (state export under the ingest gate + canonical encode +
+// full snapshot (state export under the engine lock + canonical encode +
 // temp-file/rename), and recovering a fresh engine from it.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	items := throughputDocs(b)
 	dir := b.TempDir()
-	e := enblogue.New(enblogue.WithShards(4),
-		enblogue.WithDurability(dir, enblogue.SnapshotEvery(-1)))
+	e := enblogue.New(enblogue.WithDurability(dir, enblogue.SnapshotEvery(-1)))
 	e.ConsumeBatch(items)
 
 	b.Run("snapshot", func(b *testing.B) {
@@ -75,8 +74,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := enblogue.New(enblogue.WithShards(4),
-				enblogue.WithDurability(dir, enblogue.SnapshotEvery(-1)))
+			r := enblogue.New(enblogue.WithDurability(dir, enblogue.SnapshotEvery(-1)))
 			if got, want := r.DocsProcessed(), int64(len(items)); got != want {
 				b.Fatalf("restored %d docs, want %d", got, want)
 			}

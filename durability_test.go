@@ -1,7 +1,6 @@
 package enblogue_test
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,7 +12,7 @@ import (
 // Durability acceptance: an engine that crashes and recovers from its data
 // directory (newest snapshot + WAL replay) publishes rankings tick-for-tick
 // bit-identical to an engine that never crashed — across both acceptance
-// workloads, shard counts, and crash positions that land mid-window, on a
+// workloads and crash positions that land mid-window, on a
 // tick boundary, and inside a consume batch.
 
 // durableOpts builds the standard test durability options: explicit
@@ -51,9 +50,9 @@ func crashPoints(items []*stream.Item) map[string]int {
 // snapshot partway, then is abandoned mid-flight (no Close — the crash). A
 // second engine on the same directory recovers and finishes the stream;
 // its recorded rankings are returned.
-func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, crash int) []enblogue.Ranking {
+func crashAndRecover(t *testing.T, items []*stream.Item, dir string, crash int) []enblogue.Ranking {
 	t.Helper()
-	a := enblogue.New(enblogue.WithShards(shards), durableOpts(dir))
+	a := enblogue.New(durableOpts(dir))
 	snapAt := crash / 2
 	feed := func(e *enblogue.Engine, lo, hi int) {
 		for ; lo < hi; lo += 64 {
@@ -71,7 +70,7 @@ func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, cra
 	feed(a, snapAt, crash)
 	// Crash: abandon a without Flush or Close.
 
-	b := enblogue.New(enblogue.WithShards(shards), durableOpts(dir))
+	b := enblogue.New(durableOpts(dir))
 	rec := record(b)
 	feed(b, crash, len(items))
 	b.Flush()
@@ -80,34 +79,33 @@ func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, cra
 }
 
 // TestRecoveredEngineBitIdentical is the headline durability proof: for
-// every workload × shard count × crash point, the recovered engine's
-// post-crash rankings equal — reflect.DeepEqual, scores included — the
-// corresponding suffix of the rankings a never-crashed serial engine
-// publishes over the full stream.
+// every workload × crash point, the recovered engine's post-crash rankings
+// equal — reflect.DeepEqual, scores included — the corresponding suffix of
+// the rankings a never-crashed serial engine publishes over the full
+// stream. The "shards-1" level names the engine's one partition and keeps
+// the subtest names of the sharded era.
 func TestRecoveredEngineBitIdentical(t *testing.T) {
 	for name, items := range equivWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, shards := range []int{1, 8} {
-				want := consumeSerial(items, shards)
-				if len(want) == 0 {
-					t.Fatalf("reference replay of %q published no rankings", name)
-				}
-				for cpName, crash := range crashPoints(items) {
-					t.Run(fmt.Sprintf("shards-%d/crash-%s", shards, cpName), func(t *testing.T) {
-						got := crashAndRecover(t, items, t.TempDir(), shards, crash)
-						if len(got) == 0 {
-							t.Fatal("recovered engine published no rankings after the crash")
-						}
-						if len(got) > len(want) {
-							t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
-						}
-						// Ticks fired before the crash (and during the replay
-						// inside New, before any subscriber exists) are not
-						// recorded; everything after must match the reference
-						// suffix exactly, timestamps and scores included.
-						diffRankings(t, want[len(want)-len(got):], got)
-					})
-				}
+			want := consumeSerial(items)
+			if len(want) == 0 {
+				t.Fatalf("reference replay of %q published no rankings", name)
+			}
+			for cpName, crash := range crashPoints(items) {
+				t.Run("shards-1/crash-"+cpName, func(t *testing.T) {
+					got := crashAndRecover(t, items, t.TempDir(), crash)
+					if len(got) == 0 {
+						t.Fatal("recovered engine published no rankings after the crash")
+					}
+					if len(got) > len(want) {
+						t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
+					}
+					// Ticks fired before the crash (and during the replay
+					// inside New, before any subscriber exists) are not
+					// recorded; everything after must match the reference
+					// suffix exactly, timestamps and scores included.
+					diffRankings(t, want[len(want)-len(got):], got)
+				})
 			}
 		})
 	}
@@ -122,14 +120,11 @@ func TestHubRecoveryWithNoiseTenant(t *testing.T) {
 	workloads := equivWorkloads(t)
 	items, noise := workloads["tweets"], workloads["archive"]
 	crash := len(items) / 2
-	want := consumeSerial(items, 4)
+	want := consumeSerial(items)
 	root := t.TempDir()
 
 	newHub := func() *enblogue.Hub {
-		return enblogue.NewHub(enblogue.HubDefaults(
-			enblogue.WithShards(4),
-			durableOpts(root),
-		))
+		return enblogue.NewHub(enblogue.HubDefaults(durableOpts(root)))
 	}
 	open := func(h *enblogue.Hub, name string) *enblogue.Engine {
 		e, err := h.Open(name)

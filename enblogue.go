@@ -142,8 +142,8 @@ type Engine struct {
 
 // New returns an engine configured by the given options. With no options
 // it uses the paper's defaults: Jaccard correlation, moving-average
-// prediction, 2-day half-life, hourly ticks over a 48-hour window, one
-// shard per available CPU. Nonsensical options are clamped to those
+// prediction, 2-day half-life, hourly ticks over a 48-hour window.
+// Nonsensical options are clamped to those
 // defaults rather than building a wedged engine. To host many named
 // engines in one process, open them as tenants of a Hub instead.
 func New(opts ...Option) *Engine {
@@ -161,9 +161,9 @@ func New(opts ...Option) *Engine {
 func (e *Engine) Consume(it *Item) { e.core.Consume(it) }
 
 // ConsumeBatch feeds a run of tuples through the engine, paying the
-// engine's bookkeeping lock once per batch and each pair-tracker shard
-// lock once per batch chunk. Rankings are bit-identical to calling Consume
-// on each item in order. Safe for concurrent producers.
+// engine's bookkeeping lock once per batch and the pair-tracker lock once
+// per run between ticks. Rankings are bit-identical to calling Consume on
+// each item in order. Safe for concurrent producers.
 func (e *Engine) ConsumeBatch(items []*Item) { e.core.ConsumeBatch(items) }
 
 // Enqueue appends one tuple to the engine's bounded ingest queue and
@@ -268,12 +268,14 @@ func (e *Engine) DocsProcessed() int64 { return e.core.DocsProcessed() }
 // ActivePairs returns the number of tracked candidate pairs.
 func (e *Engine) ActivePairs() int { return e.core.ActivePairs() }
 
-// Shards returns the number of engine shards.
+// Shards returns 1: the engine is unsharded. It remains for tooling that
+// reads the shard count of the sharded era (the /v1 stats field shards
+// reports the same value).
 func (e *Engine) Shards() int { return e.core.Shards() }
 
 // TailStats returns the tiered exact/sketch memory statistics: tail size
-// and error bound, promotion and eviction counters. The per-shard eviction
-// counters are live even without WithTailSketch (Enabled reports false).
+// and error bound, promotion and eviction counters. The eviction counters
+// are live even without WithTailSketch (Enabled reports false).
 func (e *Engine) TailStats() TailStats { return e.core.TailStats() }
 
 // LastEventTime returns the newest event timestamp consumed so far (zero

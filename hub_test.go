@@ -1,12 +1,12 @@
 // Acceptance tests of the multi-tenant Hub: a tenant engine is a full
 // engine, so its ranking stream must be bit-identical to a standalone
-// enblogue.New engine fed the same item sequence — for every scenario and
-// shard count, with other tenants active in the same hub.
+// enblogue.New engine fed the same item sequence — for every scenario, with
+// other tenants active in the same hub.
 package enblogue_test
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,9 +40,8 @@ func runEngine(t *testing.T, e *enblogue.Engine, items enblogue.Items) []enblogu
 	return out
 }
 
-// scenarioOptions tunes the engines down to test scale; shards varies per
-// subtest.
-func scenarioOptions(shards int) []enblogue.Option {
+// scenarioOptions tunes the engines down to test scale.
+func scenarioOptions() []enblogue.Option {
 	return []enblogue.Option{
 		enblogue.WithWindow(12, time.Hour),
 		enblogue.WithSeedCount(15),
@@ -50,13 +49,14 @@ func scenarioOptions(shards int) []enblogue.Option {
 		enblogue.WithSeedWarmup(30),
 		enblogue.WithMinCooccurrence(2),
 		enblogue.WithTopK(10),
-		enblogue.WithShards(shards),
 	}
 }
 
-// Acceptance: for each scenario and shard count, a hub tenant's rankings
-// are bit-identical to a standalone engine fed the same items — while a
-// second tenant in the same hub concurrently consumes the OTHER scenario.
+// Acceptance: for each scenario, a hub tenant's rankings are bit-identical
+// to a standalone engine fed the same items — while a second tenant in the
+// same hub concurrently consumes the OTHER scenario. The "shards-1" level
+// names the engine's one partition and keeps the subtest names of the
+// sharded era.
 func TestHubTenantBitIdenticalToStandalone(t *testing.T) {
 	tweets, _ := enblogue.TweetScenario(12 * time.Hour)
 	archive, _ := enblogue.ArchiveScenario(time.Date(2007, 8, 1, 0, 0, 0, 0, time.UTC), 5)
@@ -69,56 +69,53 @@ func TestHubTenantBitIdenticalToStandalone(t *testing.T) {
 		{"archive", archive, tweets},
 	}
 	for _, sc := range scenarios {
-		for _, shards := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/shards-%d", sc.name, shards), func(t *testing.T) {
-				standalone := enblogue.New(scenarioOptions(shards)...)
-				want := runEngine(t, standalone, sc.items)
-				standalone.Close()
-				if len(want) == 0 {
-					t.Fatal("standalone run produced no rankings")
-				}
+		t.Run(sc.name+"/shards-1", func(t *testing.T) {
+			standalone := enblogue.New(scenarioOptions()...)
+			want := runEngine(t, standalone, sc.items)
+			standalone.Close()
+			if len(want) == 0 {
+				t.Fatal("standalone run produced no rankings")
+			}
 
-				hub := enblogue.NewHub(enblogue.HubDefaults(scenarioOptions(shards)...))
-				defer hub.Close()
-				tenant, err := hub.Open("subject")
-				if err != nil {
-					t.Fatal(err)
-				}
-				noise, err := hub.Open("noise")
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The noise tenant runs the other scenario concurrently: a
-				// tenant's rankings must not depend on its neighbours.
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = noise.Run(context.Background(), sc.other)
-				}()
-				got := runEngine(t, tenant, sc.items)
-				wg.Wait()
+			hub := enblogue.NewHub(enblogue.HubDefaults(scenarioOptions()...))
+			defer hub.Close()
+			tenant, err := hub.Open("subject")
+			if err != nil {
+				t.Fatal(err)
+			}
+			noise, err := hub.Open("noise")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The noise tenant runs the other scenario concurrently: a
+			// tenant's rankings must not depend on its neighbours.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = noise.Run(context.Background(), sc.other)
+			}()
+			got := runEngine(t, tenant, sc.items)
+			wg.Wait()
 
-				if !reflect.DeepEqual(got, want) {
-					if len(got) != len(want) {
-						t.Fatalf("shards=%d: %d tenant ticks vs %d standalone",
-							shards, len(got), len(want))
-					}
-					for i := range got {
-						if !reflect.DeepEqual(got[i], want[i]) {
-							t.Fatalf("shards=%d: tick %d differs:\ntenant:     %+v\nstandalone: %+v",
-								shards, i, got[i], want[i])
-						}
+			if !reflect.DeepEqual(got, want) {
+				if len(got) != len(want) {
+					t.Fatalf("%d tenant ticks vs %d standalone", len(got), len(want))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("tick %d differs:\ntenant:     %+v\nstandalone: %+v",
+							i, got[i], want[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func TestPublicHubOptionLayering(t *testing.T) {
 	hub := enblogue.NewHub(
-		enblogue.HubDefaults(enblogue.WithTopK(7), enblogue.WithShards(2)),
+		enblogue.HubDefaults(enblogue.WithTopK(7), enblogue.WithTailSketch(0.01, 0.01, 64)),
 		enblogue.HubMaxTenants(2),
 	)
 	defer hub.Close()
@@ -127,16 +124,18 @@ func TestPublicHubOptionLayering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Shards() != 2 {
-		t.Errorf("hub default shards not applied: %d", a.Shards())
+	// TailStats reports the sketch's effective epsilon (e / width), within
+	// a few percent of the configured one.
+	if ts := a.TailStats(); !ts.Enabled || math.Abs(ts.Epsilon-0.01) > 0.001 {
+		t.Errorf("hub default tail sketch not applied: %+v", ts)
 	}
 	// Tenant-level option overrides the hub default.
-	b, err := hub.Open("b", enblogue.WithShards(4))
+	b, err := hub.Open("b", enblogue.WithTailSketch(0.05, 0.01, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Shards() != 4 {
-		t.Errorf("tenant override not applied: %d shards", b.Shards())
+	if ts := b.TailStats(); math.Abs(ts.Epsilon-0.05) > 0.005 {
+		t.Errorf("tenant override not applied: epsilon %v", ts.Epsilon)
 	}
 	if _, err := hub.Open("c"); err == nil {
 		t.Error("HubMaxTenants(2) admitted a third tenant")

@@ -1,7 +1,7 @@
 // Package detdiscipline enforces the engine's determinism contract: the
 // ranking pipeline is event-time driven and must produce bit-identical
-// rankings for every shard count, batch size, and replay of the same
-// stream (DESIGN.md §4, §8). Non-test code in the ranking-affecting
+// rankings for every batch size, crash-and-recover point, and replay of
+// the same stream (DESIGN.md §4, §8). Non-test code in the ranking-affecting
 // packages therefore must not
 //
 //   - read the wall clock (time.Now / time.Since / time.Until) — event

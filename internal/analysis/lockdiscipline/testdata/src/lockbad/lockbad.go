@@ -76,13 +76,11 @@ func (b *B) SendWhileCollecting() {
 	b.imu.Unlock()
 }
 
-// P mirrors the durability hierarchy (persistSnap 5 < persist 7 <
-// engine 10 < wal 15).
+// P mirrors the durability hierarchy (persistSnap 5 < engine 10 <
+// wal 15).
 type P struct {
 	//enblogue:lock persistSnap 5
 	snapMu sync.Mutex
-	//enblogue:lock persist 7
-	gate sync.RWMutex
 	//enblogue:lock engine 10
 	mu sync.Mutex
 	//enblogue:lock wal 15
@@ -99,16 +97,6 @@ func (p *P) SnapshotUnderEngine() {
 	p.mu.Unlock()
 }
 
-// GateUnderEngine quiesces ingest from under the engine bookkeeping lock:
-// same inversion one layer down (Consume holds the gate, then the engine
-// lock; a writer parked on the gate inside the engine lock never wakes).
-func (p *P) GateUnderEngine() {
-	p.mu.Lock()
-	p.gate.Lock() // want `lock order violation: acquiring "persist" \(order 7\) while holding "engine" \(order 10\)`
-	p.gate.Unlock()
-	p.mu.Unlock()
-}
-
 // EngineUnderWAL calls back into the engine from the WAL lock — the
 // recorder-must-not-reenter-the-engine contract.
 func (p *P) EngineUnderWAL() {
@@ -118,33 +106,31 @@ func (p *P) EngineUnderWAL() {
 	p.walMu.Unlock()
 }
 
-// M mirrors the tiered-memory hierarchy (pairsSweep 40 < tier 45 <
-// pairsShard 50).
+// M mirrors the tiered-memory hierarchy (pairs 40 < tier 45).
 type M struct {
-	//enblogue:lock pairsSweep 40
-	sweepMu sync.Mutex
+	//enblogue:lock pairs 40
+	mu sync.Mutex
 	//enblogue:lock tier 45
 	tmu sync.Mutex
-	//enblogue:lock pairsShard 50
-	mu sync.Mutex
 }
 
-// DemoteUnderShard feeds the tail while still holding a shard lock: the
-// inversion-free but deadlock-prone shape sweepLocked must never commit —
-// the tier lock is class 45, below the shard's 50.
-func (m *M) DemoteUnderShard() {
-	m.mu.Lock()
-	m.tmu.Lock() // want `lock order violation: acquiring "tier" \(order 45\) while holding "pairsShard" \(order 50\)`
-	m.tmu.Unlock()
-	m.mu.Unlock()
-}
+// sweepLocked demotes under the caller's tracker lock.
+//
+//enblogue:requires pairs
+func (m *M) sweepLocked() {}
 
-// SweepUnderTier starts a sweep from inside the tail: promotion must read
-// candidates and release the tier lock before ever reaching the sweep
-// serializer.
-func (m *M) SweepUnderTier() {
+// TrackerUnderTier reaches into the exact tier from inside the tail: the
+// tail must never call back into the tracker, which holds its own lock
+// around every tail call.
+func (m *M) TrackerUnderTier() {
 	m.tmu.Lock()
-	m.sweepMu.Lock() // want `lock order violation: acquiring "pairsSweep" \(order 40\) while holding "tier" \(order 45\)`
-	m.sweepMu.Unlock()
+	m.mu.Lock() // want `lock order violation: acquiring "pairs" \(order 40\) while holding "tier" \(order 45\)`
+	m.mu.Unlock()
 	m.tmu.Unlock()
+}
+
+// SweepUnlocked runs the sweep without the tracker lock: a concurrent
+// observer would race the eviction.
+func (m *M) SweepUnlocked() {
+	m.sweepLocked() // want `call to sweepLocked requires lock class "pairs", which is not held here`
 }

@@ -96,15 +96,13 @@ func (b *B) Dispatch() {
 
 // P mirrors the durability hierarchy introduced with the persistence
 // layer: the store's snapshot mutex is outermost in the whole process
-// (class 5), the engine's ingest gate (persist 7) and bookkeeping lock
-// (engine 10) nest inside it, and the WAL lock (wal 15) is innermost —
-// rotation happens inside the snapshot gate. The snapshot writer descends
-// into the engine; nothing under an engine lock ever reaches back up.
+// (class 5), the engine's bookkeeping lock (engine 10) nests inside it,
+// and the WAL lock (wal 15) is innermost — rotation happens while the
+// engine lock quiesces ingest. The snapshot writer descends into the
+// engine; nothing under an engine lock ever reaches back up.
 type P struct {
 	//enblogue:lock persistSnap 5
 	snapMu sync.Mutex
-	//enblogue:lock persist 7
-	gate sync.RWMutex
 	//enblogue:lock engine 10
 	mu sync.Mutex
 	//enblogue:lock wal 15
@@ -112,18 +110,15 @@ type P struct {
 	docs  int
 }
 
-// Snapshot is the durable-snapshot shape: serialize snapshots, quiesce
-// ingest, export under the engine lock, rotate the WAL — all ascending.
+// Snapshot is the durable-snapshot shape: serialize snapshots, export
+// under the engine lock, rotate the WAL — all ascending.
 //
 //enblogue:acquires persistSnap
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:acquires wal
 func (p *P) Snapshot() {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	p.gate.Lock()
-	defer p.gate.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	_ = p.docs
@@ -133,14 +128,11 @@ func (p *P) Snapshot() {
 }
 
 // Record is the ingest shape: the WAL append nests inside the engine
-// locks, never the other way around.
+// lock, never the other way around.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:acquires wal
 func (p *P) Record() {
-	p.gate.RLock()
-	defer p.gate.RUnlock()
 	p.mu.Lock()
 	p.docs++
 	p.walMu.Lock()
@@ -148,49 +140,49 @@ func (p *P) Record() {
 	p.mu.Unlock()
 }
 
-// M mirrors the tiered-memory hierarchy introduced with the exact/sketch
-// tail: the sweep serializer (pairsSweep 40) is outermost, the tail's tier
-// lock (tier 45) sits between it and the per-shard counter locks
-// (pairsShard 50). Demotion runs sweep → tier with no shard lock held;
-// promotion runs tier → shard, ascending.
+// M mirrors the tiered-memory hierarchy: the pair tracker's one lock
+// (pairs 40) guards the exact tier, and the tail's tier lock (tier 45)
+// nests inside it. Demotion (from the sweep) and promotion both run with
+// the tracker lock held and take the tier lock inside — ascending.
 type M struct {
-	//enblogue:lock pairsSweep 40
-	sweepMu sync.Mutex
+	//enblogue:lock pairs 40
+	mu sync.Mutex
 	//enblogue:lock tier 45
-	tmu sync.Mutex
-	//enblogue:lock pairsShard 50
-	mu   sync.Mutex
+	tmu  sync.Mutex
 	tail int
 }
 
-// Demote is the eviction shape: victims are collected and dropped under
-// the shard lock, the shard lock is released, then the tail absorbs them
-// under the tier lock — sweep and tier never overlap a shard hold.
+// sweepLocked drops victims from the exact tier and demotes them into the
+// tail under the caller's tracker lock.
 //
-//enblogue:acquires pairsSweep
-//enblogue:acquires pairsShard
+//enblogue:requires pairs
 //enblogue:acquires tier
-func (m *M) Demote() {
-	m.sweepMu.Lock()
-	defer m.sweepMu.Unlock()
-	m.mu.Lock()
-	_ = m.tail
-	m.mu.Unlock()
+func (m *M) sweepLocked() {
 	m.tmu.Lock()
 	m.tail++
 	m.tmu.Unlock()
 }
 
-// Promote is the readmission shape: candidates are read under the tier
-// lock, released, then seeded into the exact tier under each shard lock —
-// ascending class order even when the holds do overlap.
+// Observe is the ingest shape: counters update under the tracker lock and
+// a due sweep runs before it is released.
 //
+//enblogue:acquires pairs
 //enblogue:acquires tier
-//enblogue:acquires pairsShard
-func (m *M) Promote() {
-	m.tmu.Lock()
+func (m *M) Observe() {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sweepLocked()
+}
+
+// Promote is the readmission shape: candidates are read from the tail and
+// seeded into the exact tier, all under the tracker lock.
+//
+//enblogue:acquires pairs
+//enblogue:acquires tier
+func (m *M) Promote() {
+	m.mu.Lock()
+	m.tmu.Lock()
 	m.tail--
-	m.mu.Unlock()
 	m.tmu.Unlock()
+	m.mu.Unlock()
 }

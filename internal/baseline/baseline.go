@@ -137,7 +137,7 @@ func (d *BurstDetector) Observe(t time.Time, tags []string) {
 		st.counter.Inc(t)
 	}
 	// Track all-pairs co-occurrence for burst grouping.
-	d.cooc.Observe(t, tags, nil)
+	d.cooc.ObserveBatch([]pairs.BatchDoc{{Time: t, Tags: tags}}, nil)
 	d.sinceGC++
 	if d.sinceGC >= 4096 {
 		d.sweep()

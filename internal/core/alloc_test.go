@@ -45,7 +45,6 @@ func skipUnderRace(t *testing.T) {
 func TestConsumeSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cfg := testConfig()
-	cfg.Shards = 1
 	cfg.TickEvery = 1000 * time.Hour // keep ticks out of the measurement
 	e := New(cfg)
 	items := allocWorkload(100)
@@ -71,28 +70,6 @@ func TestConsumeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestConsumeSteadyStateAllocsSharded(t *testing.T) {
-	skipUnderRace(t)
-	cfg := testConfig()
-	cfg.Shards = 4
-	cfg.TickEvery = 1000 * time.Hour
-	e := New(cfg)
-	items := allocWorkload(100)
-	for range [3]int{} {
-		for _, it := range items {
-			e.Consume(it)
-		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		for _, it := range items {
-			e.Consume(it)
-		}
-	})
-	if avg > 3 {
-		t.Errorf("steady-state sharded Consume allocates %.1f per %d docs, want ~0", avg, len(items))
-	}
-}
-
 // With the tiered sketch tail enabled and eviction pressure live — the
 // pair budget is below the workload's pair count, so sweeps demote and
 // promotions re-admit continuously — ingest must stay within the
@@ -102,7 +79,6 @@ func TestConsumeSteadyStateAllocsSharded(t *testing.T) {
 func TestConsumeSteadyStateAllocsTailSketch(t *testing.T) {
 	skipUnderRace(t)
 	cfg := testConfig()
-	cfg.Shards = 2
 	cfg.TickEvery = 1000 * time.Hour
 	cfg.MaxPairs = 40 // allocWorkload carries 71 distinct pairs
 	cfg.TailSketch = TailSketchConfig{Enabled: true, Epsilon: 0.01, Delta: 0.01, TopK: 64}
@@ -125,37 +101,35 @@ func TestConsumeSteadyStateAllocsTailSketch(t *testing.T) {
 
 func TestConsumeBatchSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Shards = shards
-			cfg.TickEvery = 1000 * time.Hour
-			e := New(cfg)
-			items := allocWorkload(100)
-			for range [3]int{} {
-				e.ConsumeBatch(items)
-			}
-			// Steady state: the batch scratch, pending-doc buffer, and
-			// per-shard chunk groups are all warmed and reused, so a whole
-			// batch must stay within the same ~zero budget as serial
-			// Consume — far under the 1-alloc-per-doc acceptance bound.
-			avg := testing.AllocsPerRun(50, func() {
-				e.ConsumeBatch(items)
-			})
-			if avg > float64(len(items)) {
-				t.Errorf("steady-state ConsumeBatch allocates %.1f per %d docs, want ≤1/doc", avg, len(items))
-			}
-			if avg > 3 {
-				t.Errorf("steady-state ConsumeBatch allocates %.1f per %d docs, want ~0", avg, len(items))
-			}
+	// The engine is unsharded; "shards-1" names its one partition and keeps
+	// the subtest name of the sharded era.
+	t.Run("shards-1", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.TickEvery = 1000 * time.Hour
+		e := New(cfg)
+		items := allocWorkload(100)
+		for range [3]int{} {
+			e.ConsumeBatch(items)
+		}
+		// Steady state: the tracker scratch and the pending-doc buffer are
+		// warmed and reused, so a whole batch must stay within the same
+		// ~zero budget as Consume — far under the 1-alloc-per-doc
+		// acceptance bound.
+		avg := testing.AllocsPerRun(50, func() {
+			e.ConsumeBatch(items)
 		})
-	}
+		if avg > float64(len(items)) {
+			t.Errorf("steady-state ConsumeBatch allocates %.1f per %d docs, want ≤1/doc", avg, len(items))
+		}
+		if avg > 3 {
+			t.Errorf("steady-state ConsumeBatch allocates %.1f per %d docs, want ~0", avg, len(items))
+		}
+	})
 }
 
 func TestTickSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cfg := testConfig()
-	cfg.Shards = 1 // single shard: no per-tick worker goroutines measured
 	e := New(cfg)
 	items := allocWorkload(500)
 	for _, it := range items {

@@ -31,48 +31,31 @@ func brokerStream() []source.Document {
 }
 
 // The broadcast subscription must deliver every tick, in order, and its
-// final ranking must be bit-identical to CurrentRanking — for every shard
-// count.
+// final ranking must be bit-identical to CurrentRanking.
 func TestBrokerBroadcastMatchesCurrentRanking(t *testing.T) {
-	docs := brokerStream()
-	var reference []Ranking
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := testConfig()
-		cfg.Shards = shards
-		e := New(cfg)
-		sub := e.Subscribe(context.Background(), SubBuffer(1024))
-		feedDocs(e, docs)
-		e.Close()
+	e := New(testConfig())
+	sub := e.Subscribe(context.Background(), SubBuffer(1024))
+	feedDocs(e, brokerStream())
+	e.Close()
 
-		var got []Ranking
-		for rn := range sub.Notifications() {
-			r := rn.Ranking()
-			got = append(got, r)
-		}
-		if len(got) == 0 {
-			t.Fatalf("shards=%d: no rankings delivered", shards)
-		}
-		if d := sub.Dropped(); d != 0 {
-			t.Fatalf("shards=%d: %d rankings dropped with a huge buffer", shards, d)
-		}
-		cur := e.CurrentRanking()
-		rankingsEqual(t, fmt.Sprintf("shards-%d broadcast-vs-current", shards),
-			[]Ranking{got[len(got)-1]}, []Ranking{cur})
-		if reference == nil {
-			reference = got
-		} else {
-			rankingsEqual(t, fmt.Sprintf("shards-%d broadcast-vs-serial", shards), reference, got)
-		}
+	var got []Ranking
+	for rn := range sub.Notifications() {
+		got = append(got, rn.Ranking())
 	}
+	if len(got) == 0 {
+		t.Fatal("no rankings delivered")
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("%d rankings dropped with a huge buffer", d)
+	}
+	rankingsEqual(t, "broadcast-vs-current", []Ranking{got[len(got)-1]}, []Ranking{e.CurrentRanking()})
 }
 
 // Many subscribers — some with personas — consume concurrently while
 // multiple producers ingest. Run under -race; assertions are sanity, the
 // race detector is the real test.
 func TestBrokerManyConcurrentSubscribersDuringIngest(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 4
-	e := New(cfg)
+	e := New(testConfig())
 	docs := brokerStream()
 
 	const nSubs = 12

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ func TestConfigNormalizeRepairsNonsense(t *testing.T) {
 		SeedMinCount:     -5,
 		SeedWarmupDocs:   -10,
 		MaxPairs:         -100,
-		Shards:           -2,
 		HalfLife:         -time.Hour,
 		MinCooccurrence:  -1,
 		TopK:             0,
@@ -38,9 +36,6 @@ func TestConfigNormalizeRepairsNonsense(t *testing.T) {
 	}
 	if c.MaxPairs != 100000 {
 		t.Errorf("MaxPairs = %d, want 100000", c.MaxPairs)
-	}
-	if c.Shards != runtime.GOMAXPROCS(0) {
-		t.Errorf("Shards = %d, want GOMAXPROCS", c.Shards)
 	}
 	if c.HalfLife != shift.DefaultHalfLife {
 		t.Errorf("HalfLife = %v, want default", c.HalfLife)
@@ -107,13 +102,13 @@ func TestConfigNormalizeClampsIngestKnobs(t *testing.T) {
 // Normalization is idempotent and New always builds from a normalized
 // config, so even a hostile config yields a ticking engine.
 func TestConfigNormalizeIdempotentAndUsable(t *testing.T) {
-	c := Config{TopK: -9, Shards: -1, MaxPairs: 1, SeedCount: 30}.normalize()
+	c := Config{TopK: -9, MaxPairs: 1, SeedCount: 30}.normalize()
 	if c2 := c.normalize(); !reflect.DeepEqual(c2, c) {
 		t.Errorf("normalize not idempotent: %+v vs %+v", c2, c)
 	}
-	e := New(Config{TopK: -9, Shards: -1, MaxPairs: 1, SeedCount: 30})
+	e := New(Config{TopK: -9, MaxPairs: 1, SeedCount: 30})
 	defer e.Close()
-	if e.Config().TopK != 20 || e.Config().MaxPairs != 30 || e.Shards() < 1 {
+	if e.Config().TopK != 20 || e.Config().MaxPairs != 30 {
 		t.Errorf("engine built from un-normalized config: %+v", e.Config())
 	}
 }

@@ -7,19 +7,15 @@
 // timestamps pass tick boundaries, so archive replay ("time lapse on
 // archived data") and live consumption behave identically.
 //
-// The engine core is sharded: the pair space is partitioned by hash(Key) %
-// Shards, each shard owning its slice of the co-occurrence counters and of
-// the detector state behind its own lock. Consume fans a document's
-// candidate pairs out to shards, and every evaluation tick scores all
-// shards in parallel — one worker per shard — before merging the per-shard
-// top-k partial rankings deterministically. Rankings are bit-identical for
-// every shard count on a sequentially consumed stream; see DESIGN.md for
-// the argument. All exported Engine methods are safe for concurrent use.
+// Each engine holds one pair tracker, one shift detector and (when enabled)
+// one cold-tier tail. Documents are applied whole under the engine's
+// bookkeeping lock, and every evaluation tick scores the tracked pairs
+// serially through a bounded top-k heap; see DESIGN.md §3. All exported
+// Engine methods are safe for concurrent use.
 package core
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,8 +34,7 @@ import (
 
 // Config parameterises an Engine. The zero value is usable: it yields the
 // paper's defaults (Jaccard correlation, moving-average prediction, 2-day
-// half-life, hourly ticks over a 48-hour window) with one engine shard per
-// available CPU.
+// half-life, hourly ticks over a 48-hour window).
 type Config struct {
 	// WindowBuckets and WindowResolution define the sliding statistics
 	// window for tags and pairs. Defaults: 48 buckets × 1 hour.
@@ -66,7 +61,7 @@ type Config struct {
 	MaxPairs int
 
 	// TailSketch enables the tiered exact/sketch memory model: pairs
-	// evicted over MaxPairs are demoted into a per-shard windowed Count-Min
+	// evicted over MaxPairs are demoted into a windowed Count-Min
 	// sketch + heavy-hitter summary (internal/tier) instead of being
 	// forgotten, and are promoted back — counters seeded from the
 	// upper-bound estimate, flagged approximate — when their estimate
@@ -74,13 +69,6 @@ type Config struct {
 	// rankings with it disabled are bit-identical to engines built before
 	// the tier existed.
 	TailSketch TailSketchConfig
-
-	// Shards partitions the pair space for concurrent tracking and
-	// parallel tick evaluation. Rankings do not depend on the shard count
-	// when the stream is consumed sequentially, so this is purely a
-	// throughput knob. Zero means one shard per available CPU; one yields
-	// the serial reference engine.
-	Shards int
 
 	// Measure is the pair correlation measure. Default Jaccard.
 	Measure pairs.Measure
@@ -147,8 +135,8 @@ type TailSketchConfig struct {
 	// Delta is the Count-Min failure probability. Zero or out-of-range
 	// means 0.01.
 	Delta float64
-	// TopK is the per-shard heavy-hitter summary capacity — the maximum
-	// number of promotion candidates remembered per shard. Zero means 512.
+	// TopK is the heavy-hitter summary capacity — the maximum number of
+	// promotion candidates remembered. Zero means 512.
 	TopK int
 }
 
@@ -182,9 +170,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MaxPairs < c.SeedCount {
 		c.MaxPairs = c.SeedCount
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.HalfLife <= 0 {
 		c.HalfLife = shift.DefaultHalfLife
@@ -258,9 +243,9 @@ type Engine struct {
 	cfg Config
 
 	tags    *tagstats.Tracker      // guarded by mu
-	pairsTr *pairs.ShardedTracker  // internally sharded + locked
-	dist    *pairs.DistTracker     // non-nil in DistributionMode; internally locked
-	det     *shift.Sharded         // shard i touched only by tick worker i, under mu
+	pairsTr *pairs.Tracker         // written under mu; internally locked for readers
+	dist    *pairs.DistTracker     // non-nil in DistributionMode; written under mu
+	det     *shift.Detector        // guarded by mu
 	seeds   *tagstats.SeedSelector // internally locked
 
 	docs atomic.Int64
@@ -269,40 +254,30 @@ type Engine struct {
 	// LastEventTime is callable from anywhere.
 	lastSeenNano atomic.Int64
 
-	// gate quiesces ingest for state exports: Consume/ConsumeBatch hold it
-	// shared across a whole document — bookkeeping AND the pair observation
-	// that happens after mu is released — while SnapshotState holds it
-	// exclusively, so a snapshot never catches a document counted in docs
-	// but not yet applied to the pair trackers. It is the outermost engine
-	// lock and uncontended (shared) in steady state.
-	//
-	//enblogue:lock persist 7
-	gate sync.RWMutex
-
 	// wal and dur are the durability attachments (nil when Durability.Dir
 	// is unset), assigned once during New — after recovery replay, so
 	// replayed documents are not re-logged — and immutable afterwards.
 	wal WALRecorder
 	dur Durability
 
-	// mu serialises stream bookkeeping (event clock, tick boundaries, tag
-	// statistics) and evaluation ticks against each other. Pair tracking
-	// itself happens outside mu under the per-shard tracker locks, so
-	// concurrent producers contend only on the shards they touch.
+	// mu serialises ingest — the event clock, tick boundaries, tag
+	// statistics and pair tracking of each document, applied whole — and
+	// evaluation ticks against each other. State exports hold it too, so a
+	// snapshot never catches a half-applied document.
 	//
 	//enblogue:lock engine 10
 	mu       sync.Mutex
 	nextTick time.Time
 	lastTick time.Time // newest evaluation time, guards forced-Tick rewinds
 
-	// tick holds the per-tick working set — snapshot, keep-set, and top-k
-	// buffers per shard plus the ID-keyed tag-count index — reused across
-	// ticks so a steady-state evaluation pass allocates almost nothing.
-	// Only tickLocked touches it, under mu.
+	// tick holds the per-tick working set — the pair snapshot, the top-k
+	// heap and the ID-keyed tag-count index — reused across ticks so a
+	// steady-state evaluation pass allocates almost nothing. Only
+	// tickLocked touches it, under mu.
 	tick tickScratch
 
 	// batchDocs is ConsumeBatch's pending-document buffer, reused across
-	// calls. Only ConsumeBatch touches it, under mu.
+	// calls. Only ConsumeBatch and flushPendingLocked touch it, under mu.
 	batchDocs []pairs.BatchDoc
 
 	// ingest is the optional ring-buffer queue in front of ConsumeBatch,
@@ -354,17 +329,15 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		dist:   dist,
 		cfg:    c,
-		tick:   newTickScratch(c.Shards),
 		broker: newBroker(),
 		tags:   tags,
-		pairsTr: pairs.NewShardedTracker(pairs.Config{
+		pairsTr: pairs.NewTracker(pairs.Config{
 			Buckets:    c.WindowBuckets,
 			Resolution: c.WindowResolution,
 			MaxPairs:   c.MaxPairs,
-			Shards:     c.Shards,
 			Tail:       tailCfg,
 		}),
-		det: shift.NewSharded(c.Shards, shift.Config{
+		det: shift.NewDetector(shift.Config{
 			Measure:         c.Measure,
 			Predictor:       c.Predictor,
 			PredictorConfig: c.PredictorConfig,
@@ -393,13 +366,15 @@ func (e *Engine) ActivePairs() int { return e.pairsTr.ActivePairs() }
 // TailStats is the tiered-memory statistics view; see pairs.TailStats.
 type TailStats = pairs.TailStats
 
-// TailStats returns the cold-tier and eviction statistics. The per-shard
-// eviction counters are live even with the tier disabled (Enabled false,
-// tier fields zero).
+// TailStats returns the cold-tier and eviction statistics. The eviction
+// counters are live even with the tier disabled (Enabled false, tier
+// fields zero).
 func (e *Engine) TailStats() TailStats { return e.pairsTr.TailStats() }
 
-// Shards returns the number of engine shards.
-func (e *Engine) Shards() int { return e.pairsTr.Shards() }
+// Shards returns 1: the engine is unsharded. It stays because the /v1
+// stats wire format carries a shards field, and tooling built against the
+// sharded engine reads it to check that two engines share their defaults.
+func (e *Engine) Shards() int { return 1 }
 
 // Seeds returns a copy of the current seed tag set, best first.
 func (e *Engine) Seeds() []string {
@@ -498,114 +473,46 @@ func (e *Engine) itemTags(it *stream.Item) []string {
 
 // Consume implements stream.Sink: it feeds one tuple through seed
 // statistics and pair tracking, firing evaluation ticks as event time
-// passes tick boundaries. Safe for concurrent use; concurrent producers
-// serialise on the bookkeeping lock but fan pair updates out to the
-// tracker shards in parallel.
+// passes tick boundaries. It is ConsumeBatch of one item. Safe for
+// concurrent use.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
-//enblogue:hotpath
 func (e *Engine) Consume(it *stream.Item) {
 	if it == nil {
 		return
 	}
-	t := it.Time
-	tags := e.itemTags(it)
-
-	// Held shared across the whole document — including the pair
-	// observation below, outside mu — so state exports (which take it
-	// exclusively) never see a half-applied document.
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-
-	e.mu.Lock()
-	if t.After(e.LastEventTime()) {
-		e.lastSeenNano.Store(t.UnixNano())
-	}
-
-	// Fire any ticks the stream has moved past. A pathological time jump
-	// (archive gap) fast-forwards rather than replaying empty ticks.
-	if e.nextTick.IsZero() {
-		e.nextTick = t.Add(e.cfg.TickEvery)
-	}
-	if gap := t.Sub(e.nextTick); gap > 100*e.cfg.TickEvery {
-		e.tickLocked(e.nextTick)
-		e.nextTick = t.Add(e.cfg.TickEvery)
-	}
-	for !e.nextTick.After(t) {
-		e.tickLocked(e.nextTick)
-		e.nextTick = e.nextTick.Add(e.cfg.TickEvery)
-	}
-
-	e.tags.Observe(t, tags)
-	docs := e.docs.Add(1)
-	if e.wal != nil {
-		// The raw item is logged (pre-itemTags), so replay re-derives entity
-		// tags identically instead of trusting a stale derivation.
-		e.wal.RecordDoc(docs, it)
-	}
-
-	// Bootstrap the seed set once enough documents have arrived, so pair
-	// tracking starts before the first tick.
-	if len(e.seeds.Seeds()) == 0 && docs >= int64(e.cfg.SeedWarmupDocs) {
-		e.seeds.Reselect(e.tags)
-	}
-	isSeed := e.seeds.Func()
-	e.mu.Unlock()
-
-	// Pair tracking runs outside the bookkeeping lock: the sharded tracker
-	// locks only the shards this document's candidate pairs hash to.
-	e.pairsTr.Observe(t, tags, isSeed)
-	if e.dist != nil {
-		e.dist.Observe(t, tags)
-	}
+	e.ConsumeBatch([]*stream.Item{it})
 }
 
-// ConsumeBatch feeds a run of items through the engine with rankings
-// bit-identical to calling Consume on each item in order, paying the
-// bookkeeping lock once per batch and each tracker-shard lock once per
-// pair-batch chunk instead of once per document.
+// ConsumeBatch feeds a run of items through the engine in order, paying
+// the bookkeeping lock once per batch and the pair-tracker lock once per
+// segment instead of once per document, with rankings bit-identical to
+// consuming the items one call at a time.
 //
 // The batch is processed as segments delimited by the events that change
-// per-document state in the serial path: an evaluation tick or a seed
-// reselection. Documents accumulate as pending pair observations; before
-// any tick fires (ticks snapshot pair counters) and before any seed
-// reselection (reselection changes the candidate predicate for documents
-// observed after it), the pending run is flushed through
-// pairs.ShardedTracker.ObserveBatch with the predicate that was current
-// when those documents arrived — exactly the predicate the serial path
-// would have used, since it only changes at those same two events. Within
-// a segment the serial path's only per-document pair-tracker coupling is
-// sweep timing, which ObserveBatch reproduces exactly (see its equivalence
-// argument).
+// per-document state: an evaluation tick or a seed reselection. Documents
+// accumulate as pending pair observations; before any tick fires (ticks
+// snapshot pair counters) and before any seed reselection (reselection
+// changes the candidate predicate for documents observed after it), the
+// pending run is flushed through pairs.Tracker.ObserveBatch with the
+// predicate that was current when those documents arrived — exactly the
+// predicate a one-item call would have used, since it only changes at
+// those same two events. Within a segment the only per-document coupling
+// in the pair tracker is sweep timing, which ObserveBatch checks after
+// every document.
 //
 // Safe for concurrent use with every other engine method; determinism is
-// promised for a sequentially fed stream, as with Consume.
+// promised for a sequentially fed stream.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:hotpath
 func (e *Engine) ConsumeBatch(items []*stream.Item) {
 	if len(items) == 0 {
 		return
 	}
-	e.gate.RLock()
-	defer e.gate.RUnlock()
 	e.mu.Lock()
-	pend := e.batchDocs[:0]
+	defer e.mu.Unlock()
 	isSeed := e.seeds.Func()
-	//enblogue:alloc-ok one closure per ConsumeBatch call, amortised over the whole batch; BenchmarkConsumeBatchAllocs pins the per-item count
-	flush := func() {
-		if len(pend) == 0 {
-			return
-		}
-		e.pairsTr.ObserveBatch(pend, isSeed)
-		if e.dist != nil {
-			e.dist.ObserveBatch(pend)
-		}
-		clear(pend) // release tag-slice references
-		pend = pend[:0]
-	}
 	for _, it := range items {
 		if it == nil {
 			continue
@@ -616,17 +523,19 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 		if t.After(e.LastEventTime()) {
 			e.lastSeenNano.Store(t.UnixNano())
 		}
+		// Fire any ticks the stream has moved past. A pathological time jump
+		// (archive gap) fast-forwards rather than replaying empty ticks.
 		if e.nextTick.IsZero() {
 			e.nextTick = t.Add(e.cfg.TickEvery)
 		}
 		if gap := t.Sub(e.nextTick); gap > 100*e.cfg.TickEvery {
-			flush()
+			e.flushPendingLocked(isSeed)
 			e.tickLocked(e.nextTick)
 			e.nextTick = t.Add(e.cfg.TickEvery)
 			isSeed = e.seeds.Func()
 		}
 		for !e.nextTick.After(t) {
-			flush()
+			e.flushPendingLocked(isSeed)
 			e.tickLocked(e.nextTick)
 			e.nextTick = e.nextTick.Add(e.cfg.TickEvery)
 			isSeed = e.seeds.Func()
@@ -635,22 +544,40 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 		e.tags.Observe(t, tags)
 		docs := e.docs.Add(1)
 		if e.wal != nil {
+			// The raw item is logged (pre-itemTags), so replay re-derives
+			// entity tags identically instead of trusting a stale derivation.
 			e.wal.RecordDoc(docs, it)
 		}
+		// Bootstrap the seed set once enough documents have arrived, so
+		// pair tracking starts before the first tick. The reselection falls
+		// between this document's bookkeeping and its pair observation:
+		// earlier documents flush under the old predicate, this one is
+		// observed under the new.
 		if len(e.seeds.Seeds()) == 0 && docs >= int64(e.cfg.SeedWarmupDocs) {
-			// The bootstrap reselection happens between this document's
-			// bookkeeping and its pair observation, exactly as in Consume:
-			// earlier documents flush under the old predicate, this one is
-			// observed under the new.
-			flush()
+			e.flushPendingLocked(isSeed)
 			e.seeds.Reselect(e.tags)
 			isSeed = e.seeds.Func()
 		}
-		pend = append(pend, pairs.BatchDoc{Time: t, Tags: tags})
+		e.batchDocs = append(e.batchDocs, pairs.BatchDoc{Time: t, Tags: tags})
 	}
-	flush()
-	e.batchDocs = pend[:0]
-	e.mu.Unlock()
+	e.flushPendingLocked(isSeed)
+}
+
+// flushPendingLocked observes the pending documents' pairs under isSeed
+// and empties the pending buffer.
+//
+//enblogue:requires engine
+//enblogue:hotpath
+func (e *Engine) flushPendingLocked(isSeed func(string) bool) {
+	if len(e.batchDocs) == 0 {
+		return
+	}
+	e.pairsTr.ObserveBatch(e.batchDocs, isSeed)
+	if e.dist != nil {
+		e.dist.ObserveBatch(e.batchDocs)
+	}
+	clear(e.batchDocs) // release tag-slice references
+	e.batchDocs = e.batchDocs[:0]
 }
 
 // Enqueue appends one item to the engine's bounded ingest queue and returns
@@ -758,35 +685,6 @@ func (e *Engine) Tick(t time.Time) Ranking {
 	return e.tickLocked(t).Clone()
 }
 
-// forEachShard runs fn(0..n-1), returning when all complete. Work fans out
-// over min(n, GOMAXPROCS) goroutines in strided shard order — spawning
-// more workers than runnable processors only adds scheduling overhead —
-// and runs inline when that bound is one. Shards share no mutable state,
-// so the shard→worker assignment cannot affect results.
-func forEachShard(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // topicCmp is the engine's deterministic ranking order as a three-way
 // comparator: descending score, ties broken by the pair rendering (compared
 // through Key.Less, which orders exactly like the rendered strings without
@@ -807,13 +705,6 @@ func topicCmp(a, b *shift.Topic) int {
 	return 0
 }
 
-// sortTopics orders topics under topicCmp.
-func sortTopics(topics []shift.Topic) {
-	slices.SortFunc(topics, func(a, b shift.Topic) int {
-		return topicCmp(&a, &b)
-	})
-}
-
 // topicWorse reports whether a ranks strictly below b in the engine's
 // deterministic ranking order: lower score, ties by pair rendering
 // descending.
@@ -828,9 +719,9 @@ func topicWorse(a, b *shift.Topic) bool {
 // worst kept topic under topicWorse. Kept topics live in buf while the heap
 // itself is idx, an array of positions into buf: sift operations swap int32
 // indexes instead of ~100-byte Topic structs, and comparisons read buf in
-// place. Selecting the per-shard top-k this way replaces the former sort of
-// every scored topic per shard per tick (O(p log p)) with O(p log k), and
-// both slices are reused across ticks. The ranking order is a strict total
+// place. Selecting the top-k this way replaces a sort of every scored topic
+// per tick (O(p log p)) with O(p log k), and both slices are reused across
+// ticks. The ranking order is a strict total
 // order (scores tie-broken by distinct pair keys), so the kept set — later
 // materialised in topicCmp order — is exactly the prefix a full
 // sort-and-trim would keep.
@@ -880,25 +771,14 @@ type tickScratch struct {
 	counts     []float64
 	countEpoch []uint32
 	epoch      uint32
-	snaps      [][]pairs.PairCount
-	tops       [][]shift.Topic
-	// heapBuf and heapIdx are the per-shard topkPush working sets: kept
-	// topics and the index heap over them.
-	heapBuf [][]shift.Topic
-	heapIdx [][]int32
-	merged  []shift.Topic
+	snap       []pairs.PairCount
+	// heapBuf and heapIdx are the topkPush working set: kept topics and
+	// the index heap over them.
+	heapBuf []shift.Topic
+	heapIdx []int32
 	// topStats is the seed-selection buffer handed to tagstats.TopAppend,
 	// reused across ticks like every other buffer here.
 	topStats []tagstats.TagStat
-}
-
-func newTickScratch(shards int) tickScratch {
-	return tickScratch{
-		snaps:   make([][]pairs.PairCount, shards),
-		tops:    make([][]shift.Topic, shards),
-		heapBuf: make([][]shift.Topic, shards),
-		heapIdx: make([][]int32, shards),
-	}
 }
 
 // beginCounts starts a fresh count epoch.
@@ -928,15 +808,9 @@ func (ts *tickScratch) count(id uint32) float64 {
 	return ts.counts[id]
 }
 
-// tickLocked reselects seeds, evaluates every candidate pair — all shards
-// in parallel, one worker per shard — merges the per-shard top-k partial
-// rankings, publishes the result, and sweeps dead detector state. The
-// caller must hold e.mu.
-//
-// The merge is exact: a topic in the global top-k is necessarily in its own
-// shard's top-k, so concatenating the per-shard prefixes and re-sorting
-// with the same comparator yields the same ranking a single global sort
-// would.
+// tickLocked reselects seeds, evaluates every candidate pair, selects the
+// top-k through a bounded heap, publishes the result, and sweeps dead
+// detector state. The caller must hold e.mu.
 //
 //enblogue:requires engine
 //enblogue:acquires rank
@@ -946,14 +820,11 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 	}
 
 	n := e.tags.DocCount()
-	// One snapshot per tick of whatever the workers will read — tag counts
-	// or co-tag distributions — so the parallel shard workers never touch
-	// (and mutate, or serialise on) the shared trackers. The default-mode
-	// count index is keyed by interned tag ID and reused across ticks:
-	// workers then look pair members up by uint32 instead of hashing two
-	// strings per pair. Seed reselection is fused into the same pass over
-	// the tag statistics (one map iteration per tick, not two), selecting
-	// through a bounded heap with exactly Top's ordering.
+	// The default-mode count index is keyed by interned tag ID and reused
+	// across ticks: evaluation then looks pair members up by uint32 instead
+	// of hashing two strings per pair. Seed reselection is fused into the
+	// same pass over the tag statistics (one map iteration per tick, not
+	// two), selecting through a bounded heap with exactly Top's ordering.
 	ts := &e.tick
 	var seeds []string
 	var dists map[string]map[string]float64
@@ -964,7 +835,7 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 				// IDs resolve through intern.Find (installed as the tracker's
 				// resolver at construction), not Intern: ID assignment happens
 				// only on the ingest path, in first-seen stream order, so
-				// replays shard identically. A tag with no ID was never part
+				// replays assign identically. A tag with no ID was never part
 				// of any candidate pair (only ≥2-tag documents intern), so its
 				// count can never be read by the evaluation below.
 				if id != tagstats.NoID {
@@ -978,89 +849,61 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 	}
 
 	// Promote tail-tier pairs whose estimates crossed the admission floor
-	// before taking evaluation snapshots, so a re-admitted pair is scored
+	// before taking the evaluation snapshot, so a re-admitted pair is scored
 	// in this same tick. No-op while the tail sketch is disabled. Runs at
-	// tick time, not ingest time: promotion scans the per-shard summaries,
-	// which would be wasted work on the per-document path, and tick
-	// boundaries are event-time deterministic, so promotion points replay
-	// identically.
-	e.pairsTr.PromoteTail(t)
+	// tick time, not ingest time: promotion scans the tail summary, which
+	// would be wasted work on the per-document path, and tick boundaries are
+	// event-time deterministic, so promotion points replay identically.
+	e.pairsTr.PromoteTail()
+	ts.snap = e.pairsTr.AppendSnapshot(ts.snap[:0])
 
-	// Snapshot every shard's pairs first, then decide the round advance
-	// from the snapshots themselves: the workers evaluate exactly these
-	// pairs, so the shard detectors' evaluation-round clocks advance
-	// precisely when a single global detector would — even if a concurrent
-	// producer is inserting pairs mid-tick.
-	nsh := e.pairsTr.Shards()
-	forEachShard(nsh, func(i int) {
-		ts.snaps[i] = e.pairsTr.AppendSnapshot(i, ts.snaps[i][:0])
-	})
-	total := 0
-	for _, s := range ts.snaps {
-		total += len(s)
-	}
-	if total > 0 {
-		e.det.BeginTick(t)
-	}
-
-	eval := func(i int) {
-		snap := ts.snaps[i]
-		det := e.det.Shard(i)
-		hbuf, hidx := ts.heapBuf[i][:0], ts.heapIdx[i][:0]
-		// One Topic reused across the whole shard: the detector assigns
-		// every field when it fills it, and topkPush copies only when the
-		// topic is actually kept. The running heap root is fed back to the
-		// detector as the admission floor, so a pair that provably cannot
-		// reach the shard's current top-k (its undecayed score bound is
-		// below the root) updates its predictor state and returns without
-		// ever materialising a Topic or computing an exponential — the
-		// selected set is exactly what an unfloored evaluation would select.
-		var topic shift.Topic
-		floor := 0.0
-		for _, pc := range snap {
-			var filled bool
-			if e.dist != nil {
-				tag1, tag2 := pc.Key.Tags()
-				filled = det.EvaluateCorrelationInto(t, pc.Key, pc.Slot,
-					pairs.SimilarityFrom(dists, tag1, tag2), pc.Count, floor, &topic)
-			} else {
-				ida, idb := pc.Key.IDs()
-				filled = det.EvaluateInto(t, pc.Key, pc.Slot, pc.Count,
-					ts.count(ida), ts.count(idb), n, floor, &topic)
-			}
-			if filled && topic.Score > 0 {
-				hbuf, hidx = topkPush(hbuf, hidx, e.cfg.TopK, &topic)
-				if len(hidx) == e.cfg.TopK {
-					floor = hbuf[hidx[0]].Score
-				}
+	// One Topic reused across the whole snapshot: the detector assigns
+	// every field when it fills it, and topkPush copies only when the topic
+	// is actually kept. The running heap root is fed back to the detector
+	// as the admission floor, so a pair that provably cannot reach the
+	// current top-k (its undecayed score bound is below the root) updates
+	// its predictor state and returns without ever materialising a Topic or
+	// computing an exponential — the selected set is exactly what an
+	// unfloored evaluation would select.
+	det := e.det
+	hbuf, hidx := ts.heapBuf[:0], ts.heapIdx[:0]
+	var topic shift.Topic
+	floor := 0.0
+	for _, pc := range ts.snap {
+		var filled bool
+		if e.dist != nil {
+			tag1, tag2 := pc.Key.Tags()
+			filled = det.EvaluateCorrelationInto(t, pc.Key, pc.Slot,
+				pairs.SimilarityFrom(dists, tag1, tag2), pc.Count, floor, &topic)
+		} else {
+			ida, idb := pc.Key.IDs()
+			filled = det.EvaluateInto(t, pc.Key, pc.Slot, pc.Count,
+				ts.count(ida), ts.count(idb), n, floor, &topic)
+		}
+		if filled && topic.Score > 0 {
+			hbuf, hidx = topkPush(hbuf, hidx, e.cfg.TopK, &topic)
+			if len(hidx) == e.cfg.TopK {
+				floor = hbuf[hidx[0]].Score
 			}
 		}
-		// Materialise the kept set best-first: sort the index heap (int32
-		// swaps, in-place reads) and copy each topic out once.
-		slices.SortFunc(hidx, func(a, b int32) int { return topicCmp(&hbuf[a], &hbuf[b]) })
-		top := ts.tops[i][:0]
-		for _, j := range hidx {
-			top = append(top, hbuf[j])
-		}
-		// Every pair just evaluated carries seen == t, so the stale sweep
-		// is exactly the old keep-map sweep without building a keep set.
-		det.SweepStale(t, 1e-9)
-		ts.heapBuf[i], ts.heapIdx[i], ts.tops[i] = hbuf, hidx, top
 	}
-	forEachShard(nsh, eval)
+	// Every pair just evaluated carries seen == t, so the stale sweep is
+	// exactly a keep-set sweep without building the keep set.
+	det.SweepStale(t, 1e-9)
+	ts.heapBuf, ts.heapIdx = hbuf, hidx
 
-	ts.merged = ts.merged[:0]
-	for _, shardTop := range ts.tops {
-		ts.merged = append(ts.merged, shardTop...)
+	// Materialise the kept set best-first: sort the index heap (int32
+	// swaps, in-place reads) and copy each topic out once, into a fresh
+	// slice — the Ranking escapes to the broker and history, while the heap
+	// buffers are reused next tick.
+	slices.SortFunc(hidx, func(a, b int32) int { return topicCmp(&hbuf[a], &hbuf[b]) })
+	var topics []shift.Topic // nil, not empty, when nothing scored
+	if len(hidx) > 0 {
+		topics = make([]shift.Topic, len(hidx))
+		for i, j := range hidx {
+			topics[i] = hbuf[j]
+		}
 	}
-	sortTopics(ts.merged)
-	m := ts.merged
-	if len(m) > e.cfg.TopK {
-		m = m[:e.cfg.TopK]
-	}
-	// The published ranking owns a fresh slice: the merge buffer is reused
-	// next tick, while the Ranking escapes to the broker and history.
-	topics := append([]shift.Topic(nil), m...)
 
 	r := Ranking{At: t, Seeds: seeds, Topics: topics}
 	e.rankMu.Lock()

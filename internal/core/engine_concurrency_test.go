@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"enblogue/internal/pairs"
 	"enblogue/internal/source"
 	"enblogue/internal/stream"
 )
 
 // determinismStream is a fixed replay workload with background chatter,
-// an injected shift, and enough tag cardinality to spread across shards.
+// an injected shift, and enough tag cardinality to exercise eviction.
 func determinismStream() []source.Document {
 	docs := background(t0, 12, 40)
 	id := 0
@@ -74,60 +73,11 @@ func rankingsEqual(t *testing.T, label string, a, b []Ranking) {
 	}
 }
 
-// The sharded engine must emit rankings bit-identical to the serial
-// (1-shard) engine on a fixed replay stream: same scores, same
-// deterministic tie-break order, every tick.
-func TestEngineShardedMatchesSerial(t *testing.T) {
-	docs := determinismStream()
-	run := func(shards int) []Ranking {
-		cfg := testConfig()
-		cfg.Shards = shards
-		cfg.MaxPairs = 60 // small budget so eviction paths are exercised too
-		e := New(cfg)
-		stop := recordRankings(e)
-		feedDocs(e, docs)
-		return stop()
-	}
-	serial := run(1)
-	if len(serial) == 0 {
-		t.Fatal("serial engine emitted no rankings")
-	}
-	nonEmpty := false
-	for _, r := range serial {
-		if len(r.Topics) > 0 {
-			nonEmpty = true
-		}
-	}
-	if !nonEmpty {
-		t.Fatal("serial engine emitted only empty rankings; workload too weak")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		rankingsEqual(t, fmt.Sprintf("shards-%d", shards), serial, run(shards))
-	}
-}
-
-// Distribution mode must be shard-count independent too.
-func TestEngineShardedMatchesSerialDistMode(t *testing.T) {
-	docs := determinismStream()
-	run := func(shards int) []Ranking {
-		cfg := testConfig()
-		cfg.Shards = shards
-		cfg.DistributionMode = true
-		e := New(cfg)
-		stop := recordRankings(e)
-		feedDocs(e, docs)
-		return stop()
-	}
-	serial := run(1)
-	rankingsEqual(t, "dist-shards-4", serial, run(4))
-}
-
 // One goroutine hammers Consume while others call Tick, CurrentRanking,
 // Seeds, ActivePairs, and ExpandTopic — the live-server pattern. Run under
 // -race; the assertions are liveness/sanity, the race detector is the test.
 func TestEngineConcurrentConsumeAndTick(t *testing.T) {
 	cfg := testConfig()
-	cfg.Shards = 4
 	e := New(cfg)
 
 	docs := determinismStream()
@@ -212,7 +162,6 @@ func TestEngineConcurrentConsumeAndTick(t *testing.T) {
 // totals must be conserved.
 func TestEngineConcurrentProducers(t *testing.T) {
 	cfg := testConfig()
-	cfg.Shards = 4
 	e := New(cfg)
 	docs := determinismStream()
 	const workers = 4
@@ -233,21 +182,5 @@ func TestEngineConcurrentProducers(t *testing.T) {
 	}
 	if e.CurrentRanking().At.IsZero() {
 		t.Error("no final ranking after concurrent ingest")
-	}
-}
-
-// Sanity: the shard assignment the engine uses agrees between tracker and
-// detector layers (a pair evaluated on worker i must own detector state on
-// shard i).
-func TestEngineShardAgreement(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8} {
-		k := pairs.MakeKey("volcano", "airtraffic")
-		if s := k.Shard(n); s < 0 || s >= n {
-			t.Fatalf("Shard(%d) = %d out of range", n, s)
-		}
-	}
-	e := New(Config{Shards: 3})
-	if e.Shards() != 3 {
-		t.Errorf("Shards() = %d, want 3", e.Shards())
 	}
 }

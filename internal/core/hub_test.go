@@ -130,7 +130,7 @@ func TestHubCloseTenantAndClose(t *testing.T) {
 func TestHubTenantIsolation(t *testing.T) {
 	h := NewHub(HubConfig{Defaults: Config{
 		WindowBuckets: 12, WindowResolution: time.Hour,
-		SeedCount: 10, SeedWarmupDocs: 10, MinCooccurrence: 2, TopK: 5, Shards: 2,
+		SeedCount: 10, SeedWarmupDocs: 10, MinCooccurrence: 2, TopK: 5,
 	}})
 	defer h.Close()
 	a, _ := h.Open("a")
@@ -177,7 +177,7 @@ func TestHubTenantIsolation(t *testing.T) {
 func TestHubConcurrentOpenCloseConsume(t *testing.T) {
 	h := NewHub(HubConfig{Defaults: Config{
 		WindowBuckets: 6, WindowResolution: time.Hour,
-		SeedCount: 5, SeedWarmupDocs: 5, TopK: 5, Shards: 2,
+		SeedCount: 5, SeedWarmupDocs: 5, TopK: 5,
 	}})
 	defer h.Close()
 

@@ -13,7 +13,7 @@ import (
 // affects future rankings. It aggregates the canonical per-subsystem states
 // (tags, pairs, detector, distributions — each sorted and clock-advanced by
 // its own exporter), so two engines holding the same logical state export
-// identical EngineStates regardless of shard count or internal slot layout.
+// identical EngineStates regardless of internal slot layout.
 // Rebuildable caches (tick scratch, ingest queue, broker subscriptions,
 // interned-ID assignments) are deliberately excluded; rankings are
 // ID-independent, so a restored engine that re-interns tags in a different
@@ -27,7 +27,7 @@ type EngineState struct {
 	LastTickSet  bool
 
 	Tags  tagstats.TrackerState
-	Pairs pairs.ShardedTrackerState
+	Pairs pairs.TrackerState
 	Dist  *pairs.DistState // non-nil exactly in DistributionMode
 	Det   shift.DetectorState
 
@@ -35,9 +35,9 @@ type EngineState struct {
 	Last  Ranking  // most recent published ranking
 }
 
-// exportStateLocked gathers the full engine state. Caller holds e.gate
-// (write) and e.mu, so no producer is mid-document: docs, tag statistics,
-// pair counters, and the WAL position all agree.
+// exportStateLocked gathers the full engine state. Caller holds e.mu, under
+// which every document is applied whole, so no producer is mid-document:
+// docs, tag statistics, pair counters, and the WAL position all agree.
 //
 //enblogue:requires engine
 //enblogue:acquires rank
@@ -67,11 +67,8 @@ func (e *Engine) exportStateLocked() EngineState {
 // ExportState returns the engine's full state, quiescing ingest for the
 // duration of the in-memory export.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 func (e *Engine) ExportState() EngineState {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.exportStateLocked()
@@ -84,11 +81,8 @@ func (e *Engine) ExportState() EngineState {
 // the epoch is in the new segment and only there. Encoding and file I/O
 // belong outside this call.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, error) {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.exportStateLocked()
@@ -103,15 +97,12 @@ func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, err
 // RestoreState loads st into a freshly built engine that has consumed
 // nothing. The engine must have the exporter's semantic configuration
 // (window geometry, measure, predictor, ...) — the persistence layer
-// enforces this with a config fingerprint — while shard count and ingest
-// tuning are free to differ.
+// enforces this with a config fingerprint — while ingest tuning is free to
+// differ.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:acquires rank
 func (e *Engine) RestoreState(st EngineState) error {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.docs.Load() != 0 || e.lastSeenNano.Load() != 0 || !e.nextTick.IsZero() {

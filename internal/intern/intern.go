@@ -76,8 +76,9 @@ func (t *Table) Intern(s string) uint32 {
 // Find returns the ID of s if it has already been interned, without
 // assigning one. Read paths that merely index by ID (the engine's tick-time
 // tag-count snapshot) use Find so that ID assignment happens only on the
-// ingest path, in first-seen stream order — the property that makes shard
-// assignment reproducible across replays of the same stream.
+// ingest path, in first-seen stream order — the property that makes ID
+// assignment, and so arena slot layout, reproducible across replays of the
+// same stream.
 //
 //enblogue:acquires intern
 func (t *Table) Find(s string) (uint32, bool) {

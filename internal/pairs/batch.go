@@ -1,182 +1,73 @@
 package pairs
 
 import (
-	"sync"
 	"time"
 
 	"enblogue/internal/intern"
 )
 
-// BatchDoc is one document in a batched observation: its event time and tag
-// set. The batch ingest path hands the tracker a run of documents at once so
-// each shard lock is taken once per chunk instead of once per document.
+// BatchDoc is one document in an observation batch: its event time and tag
+// set.
 type BatchDoc struct {
 	Time time.Time
 	Tags []string
 }
 
-// keyAt is one candidate-pair increment: the pair and the document's event
-// time as an absolute window bucket (every increment of one document shares
-// the bucket, converted once).
-type keyAt struct {
-	k   Key
-	abs int64
-}
-
-// batchScratch carries one ObserveBatch call's working set so the steady
-// state allocates nothing: per-document interned IDs and seed flags, the
-// chunk's candidate increments in document order, and the per-shard groups.
-type batchScratch struct {
-	ids     []uint32
-	seed    []bool
-	keys    []keyAt
-	byShard [][]keyAt
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// getBatchScratch returns a scratch with at least n empty per-shard groups.
-func getBatchScratch(n int) *batchScratch {
-	sc := batchScratchPool.Get().(*batchScratch)
-	for len(sc.byShard) < n {
-		sc.byShard = append(sc.byShard, nil)
-	}
-	return sc
-}
-
-// ObserveBatch records a run of documents, in order, with semantics
-// identical to calling Observe(d.Time, d.Tags, isSeed) for each d — same
-// pairs, same counts, same sweep and eviction timing — while taking each
-// shard lock once per chunk instead of once per document.
+// ObserveBatch records a run of documents, in order, under one lock
+// acquisition. For each document it lifts the tracker clock, increments the
+// windowed co-occurrence count of every candidate pair — every unordered
+// pair of distinct tags of which at least one satisfies isSeed; a nil
+// isSeed tracks all pairs — and then checks the sweep triggers (SweepEvery
+// documents since the last sweep, or more than MaxPairs pairs). Because the
+// check follows every document, sweep and eviction timing — which is
+// observable, since eviction destroys windowed history — does not depend
+// on how a stream is split into batches.
 //
-// Equivalence argument. The only per-document coupling in Observe is the
-// sweep trigger: after every document, a sweep fires if sinceGC ≥
-// SweepEvery or npairs > MaxPairs, and sweep timing is observable (eviction
-// destroys windowed history). ObserveBatch therefore cuts the batch into
-// chunks such that no trigger could fire strictly inside a chunk:
-//
-//   - sinceGC: a chunk admits at most SweepEvery − sinceGC documents, so
-//     the count trigger can only be reached at the chunk boundary — exactly
-//     where the serial path would check it.
-//   - npairs: a chunk admits documents while the worst-case new-pair total
-//     (the sum of admitted documents' candidate-pair counts) fits in
-//     MaxPairs − npairs, so no prefix of the chunk can push npairs over
-//     budget. A single document too large for the remaining headroom forms
-//     a chunk of one, which is literally the serial step.
-//
-// Within a chunk, increments commute: each (pair, bucket) increment is
-// applied exactly once and counter reads happen only at sweep time or
-// later, so grouping increments by shard changes no observable state. The
-// tracker clock is lifted to the chunk's newest timestamp before the
-// post-chunk sweep check, matching the serial clock at the same point.
-// Documents are prepared (deduplicated, interned, seed-tested) in document
-// order, so interned-ID assignment — and therefore shard placement — is
-// also identical to the serial path.
-//
-//enblogue:acquires pairsShard
-//enblogue:acquires pairsSweep
+//enblogue:acquires pairs
 //enblogue:acquires tier
 //enblogue:hotpath
-func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
+func (tr *Tracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
 	if len(docs) == 0 {
 		return
 	}
-	sc := getBatchScratch(len(tr.shards))
-	arena := tr.shards[0].arena // all shards share Buckets/Resolution
-	i := 0
-	for i < len(docs) {
-		maxDocs := int64(tr.cfg.SweepEvery) - tr.sinceGC.Load()
-		if maxDocs < 1 {
-			maxDocs = 1
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, d := range docs {
+		if n := d.Time.UnixNano(); n > tr.nowNano || tr.nowNano == 0 {
+			tr.nowNano = n
 		}
-		headroom := int64(tr.cfg.MaxPairs) - tr.npairs.Load()
-
-		// Plan the chunk: generate candidate increments doc by doc until a
-		// sweep trigger could fire.
-		sc.keys = sc.keys[:0]
-		var (
-			maxNano int64
-			hasMax  bool
-			cand    int64
-		)
-		j := i
-		for j < len(docs) && int64(j-i) < maxDocs {
-			d := docs[j]
-			start := len(sc.keys)
-			if len(d.Tags) >= 2 {
-				uniq := dedupTags(d.Tags)
-				sc.ids = sc.ids[:0]
-				sc.seed = sc.seed[:0]
-				for _, tag := range uniq {
-					sc.ids = append(sc.ids, intern.Intern(tag))
-					if isSeed != nil {
-						sc.seed = append(sc.seed, isSeed(tag))
-					}
-				}
-				abs := arena.BucketIndex(d.Time)
-				for a := 0; a < len(sc.ids); a++ {
-					for b := a + 1; b < len(sc.ids); b++ {
-						if isSeed != nil && !sc.seed[a] && !sc.seed[b] {
-							continue
-						}
-						sc.keys = append(sc.keys, keyAt{KeyFromIDs(sc.ids[a], sc.ids[b]), abs})
-					}
-				}
-			}
-			nc := int64(len(sc.keys) - start)
-			if j > i && cand+nc > headroom {
-				sc.keys = sc.keys[:start] // over budget: doc opens the next chunk
-				break
-			}
-			cand += nc
-			if n := d.Time.UnixNano(); !hasMax || n > maxNano {
-				maxNano, hasMax = n, true
-			}
-			j++
+		if len(d.Tags) >= 2 {
+			tr.observeLocked(d, isSeed)
 		}
-
-		// Apply the chunk: lift the clock, then take each touched shard's
-		// lock once and replay its increments in document order.
-		tr.advanceNowNano(maxNano)
-		if len(tr.shards) == 1 {
-			if len(sc.keys) > 0 {
-				sh := tr.shards[0]
-				sh.mu.Lock()
-				for _, ka := range sc.keys {
-					tr.incLockedAbs(sh, ka.k, ka.abs)
-				}
-				sh.mu.Unlock()
-			}
-		} else {
-			n := len(tr.shards)
-			for _, ka := range sc.keys {
-				s := ka.k.Shard(n)
-				sc.byShard[s] = append(sc.byShard[s], ka)
-			}
-			for s, kas := range sc.byShard[:n] {
-				if len(kas) == 0 {
-					continue
-				}
-				sh := tr.shards[s]
-				sh.mu.Lock()
-				for _, ka := range kas {
-					tr.incLockedAbs(sh, ka.k, ka.abs)
-				}
-				sh.mu.Unlock()
-				sc.byShard[s] = kas[:0]
-			}
+		tr.sinceGC++
+		if tr.sweepDueLocked() {
+			tr.sweepLocked()
 		}
-
-		// The serial path's post-document check, at the chunk boundary.
-		tr.sinceGC.Add(int64(j - i))
-		if tr.sweepDue() {
-			tr.sweepMu.Lock()
-			if tr.sweepDue() {
-				tr.sweepLocked()
-			}
-			tr.sweepMu.Unlock()
-		}
-		i = j
 	}
-	batchScratchPool.Put(sc)
+}
+
+// observeLocked increments every candidate pair of one document with at
+// least two tags. Documents are deduplicated and interned in stream order,
+// so interned-ID assignment replays identically.
+//
+//enblogue:requires pairs
+//enblogue:hotpath
+func (tr *Tracker) observeLocked(d BatchDoc, isSeed func(string) bool) {
+	tr.ids = tr.ids[:0]
+	tr.seed = tr.seed[:0]
+	for _, tag := range dedupTags(d.Tags) {
+		tr.ids = append(tr.ids, intern.Intern(tag))
+		if isSeed != nil {
+			tr.seed = append(tr.seed, isSeed(tag))
+		}
+	}
+	abs := tr.arena.BucketIndex(d.Time)
+	for a := 0; a < len(tr.ids); a++ {
+		for b := a + 1; b < len(tr.ids); b++ {
+			if isSeed != nil && !tr.seed[a] && !tr.seed[b] {
+				continue
+			}
+			tr.incLocked(KeyFromIDs(tr.ids[a], tr.ids[b]), abs)
+		}
+	}
 }

@@ -18,16 +18,22 @@ func batchDocsFrom(stream [][]string) []BatchDoc {
 	return docs
 }
 
-// trackerState flattens a sharded tracker into a comparable form: every
-// tracked pair with its windowed co-occurrence as of the tracker clock.
-func trackerState(tr *ShardedTracker) map[Key]float64 {
+// trackerState flattens a tracker into a comparable form: every tracked
+// pair with its windowed co-occurrence as of the tracker clock.
+func trackerState(tr *Tracker) map[Key]float64 {
 	out := make(map[Key]float64)
-	for i := 0; i < tr.Shards(); i++ {
-		for _, pc := range tr.Snapshot(i) {
-			out[pc.Key] = pc.Count
-		}
+	for _, pc := range tr.AppendSnapshot(nil) {
+		out[pc.Key] = pc.Count
 	}
 	return out
+}
+
+// observeInBatches feeds docs through ObserveBatch in runs of batch
+// documents.
+func observeInBatches(tr *Tracker, docs []BatchDoc, batch int) {
+	for lo := 0; lo < len(docs); lo += batch {
+		tr.ObserveBatch(docs[lo:min(lo+batch, len(docs))], seedEven)
+	}
 }
 
 // seedEven marks half the vocabulary as seeds so candidate generation
@@ -39,43 +45,34 @@ func seedEven(tag string) bool {
 }
 
 // TestObserveBatchMatchesSerial pins the tracker half of the batched
-// determinism contract: for every shard count and batch size — batch
-// boundaries chosen to split documents arbitrarily — feeding the stream
-// through ObserveBatch leaves the tracker with exactly the pairs and
-// windowed counts that per-document Observe produces, including the sweep
-// schedule (sweeps are document-count driven and ObserveBatch replays the
-// count document by document).
+// determinism contract: for every batch size — batch boundaries chosen to
+// split documents arbitrarily — feeding the stream through ObserveBatch
+// leaves the tracker with exactly the pairs and windowed counts that
+// document-at-a-time observation produces, including the sweep schedule
+// (sweeps are document-count driven and ObserveBatch checks the triggers
+// after every document). The "shards-1" level names the tracker's one
+// partition; it keeps the subtest names of the sharded era.
 func TestObserveBatchMatchesSerial(t *testing.T) {
 	stream := randomStream(42, 3000, 60, 4)
 	docs := batchDocsFrom(stream)
-	for _, shards := range []int{1, 4, 8} {
-		cfg := Config{Shards: shards, SweepEvery: 256}
-		serial := NewShardedTracker(cfg)
-		for _, d := range docs {
-			serial.Observe(d.Time, d.Tags, seedEven)
-		}
-		want := trackerState(serial)
-		if len(want) == 0 {
-			t.Fatal("serial tracker tracked no pairs; workload too small")
-		}
-		for _, batch := range []int{1, 7, 64, 4096} {
-			t.Run(fmt.Sprintf("shards-%d/batch-%d", shards, batch), func(t *testing.T) {
-				tr := NewShardedTracker(cfg)
-				for lo := 0; lo < len(docs); lo += batch {
-					hi := lo + batch
-					if hi > len(docs) {
-						hi = len(docs)
-					}
-					tr.ObserveBatch(docs[lo:hi], seedEven)
-				}
-				if got := trackerState(tr); !reflect.DeepEqual(got, want) {
-					t.Fatalf("batched state diverges: %d pairs vs %d serial", len(got), len(want))
-				}
-				if got, wantN := tr.ActivePairs(), serial.ActivePairs(); got != wantN {
-					t.Errorf("ActivePairs = %d, want %d", got, wantN)
-				}
-			})
-		}
+	cfg := Config{SweepEvery: 256}
+	serial := NewTracker(cfg)
+	observeInBatches(serial, docs, 1)
+	want := trackerState(serial)
+	if len(want) == 0 {
+		t.Fatal("serial tracker tracked no pairs; workload too small")
+	}
+	for _, batch := range []int{1, 7, 64, 4096} {
+		t.Run(fmt.Sprintf("shards-1/batch-%d", batch), func(t *testing.T) {
+			tr := NewTracker(cfg)
+			observeInBatches(tr, docs, batch)
+			if got := trackerState(tr); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batched state diverges: %d pairs vs %d serial", len(got), len(want))
+			}
+			if got, wantN := tr.ActivePairs(), serial.ActivePairs(); got != wantN {
+				t.Errorf("ActivePairs = %d, want %d", got, wantN)
+			}
+		})
 	}
 }
 
@@ -87,41 +84,31 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
 	stream := randomStream(7, 4000, 120, 5)
 	docs := batchDocsFrom(stream)
-	for _, shards := range []int{1, 4} {
-		cfg := Config{Shards: shards, MaxPairs: 150, SweepEvery: 128}
-		serial := NewShardedTracker(cfg)
-		for _, d := range docs {
-			serial.Observe(d.Time, d.Tags, seedEven)
-		}
-		want := trackerState(serial)
-		for _, batch := range []int{3, 64, 1000} {
-			t.Run(fmt.Sprintf("shards-%d/batch-%d", shards, batch), func(t *testing.T) {
-				tr := NewShardedTracker(cfg)
-				for lo := 0; lo < len(docs); lo += batch {
-					hi := lo + batch
-					if hi > len(docs) {
-						hi = len(docs)
+	cfg := Config{MaxPairs: 150, SweepEvery: 128}
+	serial := NewTracker(cfg)
+	observeInBatches(serial, docs, 1)
+	want := trackerState(serial)
+	for _, batch := range []int{3, 64, 1000} {
+		t.Run(fmt.Sprintf("shards-1/batch-%d", batch), func(t *testing.T) {
+			tr := NewTracker(cfg)
+			observeInBatches(tr, docs, batch)
+			got := trackerState(tr)
+			if !reflect.DeepEqual(got, want) {
+				var missing, extra []Key
+				for k := range want {
+					if _, ok := got[k]; !ok {
+						missing = append(missing, k)
 					}
-					tr.ObserveBatch(docs[lo:hi], seedEven)
 				}
-				got := trackerState(tr)
-				if !reflect.DeepEqual(got, want) {
-					var missing, extra []Key
-					for k := range want {
-						if _, ok := got[k]; !ok {
-							missing = append(missing, k)
-						}
+				for k := range got {
+					if _, ok := want[k]; !ok {
+						extra = append(extra, k)
 					}
-					for k := range got {
-						if _, ok := want[k]; !ok {
-							extra = append(extra, k)
-						}
-					}
-					t.Fatalf("eviction diverges: %d missing, %d extra of %d serial pairs",
-						len(missing), len(extra), len(want))
 				}
-			})
-		}
+				t.Fatalf("eviction diverges: %d missing, %d extra of %d serial pairs",
+					len(missing), len(extra), len(want))
+			}
+		})
 	}
 }
 
@@ -135,7 +122,7 @@ func TestDistTrackerObserveBatchMatchesSerial(t *testing.T) {
 	cfg := Config{}
 	serial := NewDistTracker(cfg)
 	for _, d := range docs {
-		serial.Observe(d.Time, d.Tags)
+		serial.ObserveBatch([]BatchDoc{d})
 	}
 	batched := NewDistTracker(cfg)
 	for lo := 0; lo < len(docs); lo += 64 {

@@ -24,8 +24,10 @@ func ExampleTracker() {
 	isSeed := func(tag string) bool { return tag == "iceland" }
 
 	t0 := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
-	tr.Observe(t0, []string{"iceland", "volcano", "travel"}, isSeed)
-	tr.Observe(t0.Add(time.Hour), []string{"iceland", "volcano"}, isSeed)
+	tr.ObserveBatch([]pairs.BatchDoc{
+		{Time: t0, Tags: []string{"iceland", "volcano", "travel"}},
+		{Time: t0.Add(time.Hour), Tags: []string{"iceland", "volcano"}},
+	}, isSeed)
 
 	k := pairs.MakeKey("volcano", "iceland") // canonical regardless of order
 	fmt.Println(k, "co-occurs in", tr.Cooccurrence(k), "documents")

@@ -138,28 +138,3 @@ func joinedByte(s1, s2 string, i int) byte {
 	}
 	return s2[i-len(s1)-1]
 }
-
-// Shard maps the pair to one of n shards. The function is pure in the key
-// contents: the same key always lands on the same shard for a given n, and
-// for n == 1 every key lands on shard 0.
-func (k Key) Shard(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(k.hash() % uint64(n))
-}
-
-// hash mixes the packed ID pair through splitmix64's finaliser so shard
-// assignment spreads evenly for any shard count. Interned IDs are assigned
-// in first-seen stream order, so replaying the same stream in two runs
-// yields the same IDs and therefore the same shard assignment — the
-// property the previous string-FNV hash provided, now at word cost.
-func (k Key) hash() uint64 {
-	h := k.packed
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,8 +227,8 @@ func allSeeds(string) bool { return true }
 
 func TestTrackerObserve(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 24, Resolution: time.Hour})
-	tr.Observe(t0, []string{"iceland", "volcano", "travel"}, allSeeds)
-	tr.Observe(t0.Add(time.Hour), []string{"iceland", "volcano"}, allSeeds)
+	observe(tr, t0, []string{"iceland", "volcano", "travel"}, allSeeds)
+	observe(tr, t0.Add(time.Hour), []string{"iceland", "volcano"}, allSeeds)
 	if got := tr.Cooccurrence(MakeKey("iceland", "volcano")); got != 2 {
 		t.Errorf("cooc(iceland,volcano) = %v, want 2", got)
 	}
@@ -245,7 +246,7 @@ func TestTrackerObserve(t *testing.T) {
 func TestTrackerSeedFiltering(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour})
 	isSeed := func(tag string) bool { return tag == "hot" }
-	tr.Observe(t0, []string{"hot", "a", "b"}, isSeed)
+	observe(tr, t0, []string{"hot", "a", "b"}, isSeed)
 	// (hot,a) and (hot,b) are candidates; (a,b) is not.
 	if got := tr.Cooccurrence(MakeKey("hot", "a")); got != 1 {
 		t.Errorf("cooc(hot,a) = %v, want 1", got)
@@ -260,7 +261,7 @@ func TestTrackerSeedFiltering(t *testing.T) {
 
 func TestTrackerNilSeedTracksAll(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour})
-	tr.Observe(t0, []string{"a", "b", "c"}, nil)
+	observe(tr, t0, []string{"a", "b", "c"}, nil)
 	if tr.ActivePairs() != 3 {
 		t.Errorf("ActivePairs = %d, want 3 with nil seed predicate", tr.ActivePairs())
 	}
@@ -268,7 +269,7 @@ func TestTrackerNilSeedTracksAll(t *testing.T) {
 
 func TestTrackerDuplicateAndEmptyTags(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour})
-	tr.Observe(t0, []string{"a", "a", "", "b"}, allSeeds)
+	observe(tr, t0, []string{"a", "a", "", "b"}, allSeeds)
 	if got := tr.Cooccurrence(MakeKey("a", "b")); got != 1 {
 		t.Errorf("cooc = %v, want 1 (dedup within doc)", got)
 	}
@@ -276,8 +277,8 @@ func TestTrackerDuplicateAndEmptyTags(t *testing.T) {
 		t.Errorf("self-pair tracked: %v", got)
 	}
 	// Single-tag and empty docs are no-ops.
-	tr.Observe(t0, []string{"solo"}, allSeeds)
-	tr.Observe(t0, nil, allSeeds)
+	observe(tr, t0, []string{"solo"}, allSeeds)
+	observe(tr, t0, nil, allSeeds)
 	if tr.ActivePairs() != 1 {
 		t.Errorf("ActivePairs = %d, want 1", tr.ActivePairs())
 	}
@@ -285,8 +286,8 @@ func TestTrackerDuplicateAndEmptyTags(t *testing.T) {
 
 func TestTrackerWindowExpiry(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 2, Resolution: time.Hour})
-	tr.Observe(t0, []string{"a", "b"}, allSeeds)
-	tr.Observe(t0.Add(10*time.Hour), []string{"c", "d"}, allSeeds)
+	observe(tr, t0, []string{"a", "b"}, allSeeds)
+	observe(tr, t0.Add(10*time.Hour), []string{"c", "d"}, allSeeds)
 	if got := tr.Cooccurrence(MakeKey("a", "b")); got != 0 {
 		t.Errorf("expired cooc = %v, want 0", got)
 	}
@@ -294,9 +295,9 @@ func TestTrackerWindowExpiry(t *testing.T) {
 
 func TestTrackerSweepEvictsEmptyPairs(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 4})
-	tr.Observe(t0, []string{"a", "b"}, allSeeds)
+	observe(tr, t0, []string{"a", "b"}, allSeeds)
 	for i := 0; i < 6; i++ {
-		tr.Observe(t0.Add(time.Hour+time.Duration(i)*time.Minute),
+		observe(tr, t0.Add(time.Hour+time.Duration(i)*time.Minute),
 			[]string{"x", "y"}, allSeeds)
 	}
 	if tr.ActivePairs() != 1 {
@@ -308,11 +309,11 @@ func TestTrackerMaxPairsEviction(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 3, SweepEvery: 1})
 	// Strong pair observed repeatedly.
 	for i := 0; i < 5; i++ {
-		tr.Observe(t0.Add(time.Duration(i)*time.Minute), []string{"hot", "topic"}, allSeeds)
+		observe(tr, t0.Add(time.Duration(i)*time.Minute), []string{"hot", "topic"}, allSeeds)
 	}
 	// Weak pairs flood in.
 	for i := 0; i < 10; i++ {
-		tr.Observe(t0.Add(time.Duration(5+i)*time.Minute),
+		observe(tr, t0.Add(time.Duration(5+i)*time.Minute),
 			[]string{fmt.Sprintf("w%d", i), fmt.Sprintf("v%d", i)}, allSeeds)
 	}
 	if tr.ActivePairs() > 3 {
@@ -326,8 +327,8 @@ func TestTrackerMaxPairsEviction(t *testing.T) {
 func TestTrackerSeries(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 3, Resolution: time.Hour})
 	k := MakeKey("a", "b")
-	tr.Observe(t0, []string{"a", "b"}, allSeeds)
-	tr.Observe(t0.Add(2*time.Hour), []string{"a", "b"}, allSeeds)
+	observe(tr, t0, []string{"a", "b"}, allSeeds)
+	observe(tr, t0.Add(2*time.Hour), []string{"a", "b"}, allSeeds)
 	got := tr.Series(k)
 	want := []float64{1, 0, 1}
 	for i := range want {
@@ -342,8 +343,9 @@ func TestTrackerSeries(t *testing.T) {
 
 func TestTrackerKeysSorted(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour})
-	tr.Observe(t0, []string{"c", "a", "b"}, allSeeds)
-	keys := tr.KeysSorted()
+	observe(tr, t0, []string{"c", "a", "b"}, allSeeds)
+	keys := tr.Keys()
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	if len(keys) != 3 {
 		t.Fatalf("got %d keys", len(keys))
 	}
@@ -352,18 +354,15 @@ func TestTrackerKeysSorted(t *testing.T) {
 			t.Errorf("keys not sorted: %v", keys)
 		}
 	}
-	if got := len(tr.Keys()); got != 3 {
-		t.Errorf("Keys len = %d", got)
-	}
 }
 
 func TestTrackerCorrelation(t *testing.T) {
 	tr := NewTracker(Config{Buckets: 24, Resolution: time.Hour})
 	for i := 0; i < 4; i++ {
-		tr.Observe(t0.Add(time.Duration(i)*time.Minute), []string{"a", "b"}, allSeeds)
+		observe(tr, t0.Add(time.Duration(i)*time.Minute), []string{"a", "b"}, allSeeds)
 	}
 	// na = nb = 4, nab = 4 → Jaccard 1.
-	if got := tr.Correlation(MakeKey("a", "b"), Jaccard, 4, 4, 10); got != 1 {
+	if got := Jaccard.Compute(tr.Cooccurrence(MakeKey("a", "b")), 4, 4, 10); got != 1 {
 		t.Errorf("Correlation = %v, want 1", got)
 	}
 }
@@ -382,7 +381,7 @@ func TestTrackerMatchesNaive(t *testing.T) {
 			for j := 0; j < 2+rng.Intn(3); j++ {
 				tags = append(tags, fmt.Sprintf("t%d", rng.Intn(5)))
 			}
-			tr.Observe(cur, tags, allSeeds)
+			observe(tr, cur, tags, allSeeds)
 			seen := map[string]bool{}
 			var uniq []string
 			for _, tg := range tags {
@@ -414,9 +413,9 @@ func TestDistTracker(t *testing.T) {
 	// a and b share identical co-tag usage {x}; c co-occurs only with y.
 	for i := 0; i < 5; i++ {
 		ts := t0.Add(time.Duration(i) * time.Minute)
-		dt.Observe(ts, []string{"a", "x"})
-		dt.Observe(ts, []string{"b", "x"})
-		dt.Observe(ts, []string{"c", "y"})
+		observeDist(dt, ts, []string{"a", "x"})
+		observeDist(dt, ts, []string{"b", "x"})
+		observeDist(dt, ts, []string{"c", "y"})
 	}
 	simAB := dt.Similarity("a", "b")
 	simAC := dt.Similarity("a", "c")
@@ -437,9 +436,9 @@ func TestDistTracker(t *testing.T) {
 
 func TestDistTrackerSweep(t *testing.T) {
 	dt := NewDistTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 3})
-	dt.Observe(t0, []string{"a", "b"})
+	observeDist(dt, t0, []string{"a", "b"})
 	for i := 0; i < 4; i++ {
-		dt.Observe(t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"x", "y"})
+		observeDist(dt, t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"x", "y"})
 	}
 	if dt.Distribution("a") != nil && len(dt.Distribution("a")) > 0 {
 		t.Error("stale distribution not evicted")
@@ -455,10 +454,12 @@ func BenchmarkTrackerObserve(b *testing.B) {
 			docs[i] = append(docs[i], fmt.Sprintf("tag%d", rng.Intn(500)))
 		}
 	}
+	batch := make([]BatchDoc, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Observe(t0.Add(time.Duration(i)*time.Second), docs[i%len(docs)], allSeeds)
+		batch[0] = BatchDoc{Time: t0.Add(time.Duration(i) * time.Second), Tags: docs[i%len(docs)]}
+		tr.ObserveBatch(batch, allSeeds)
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 
 // This file is the pair trackers' durability surface. Exports are canonical:
 // pairs are emitted sorted by Key.Compare (the rendered-string order, which
-// does not depend on interned IDs or shard placement) with every counter
+// does not depend on interned IDs or slot layout) with every counter
 // advanced to the tracker clock first, so two trackers holding the same
-// logical state — regardless of shard count, slot layout, or lazy-expiry
-// position — export identical state. Restores re-partition by the restoring
-// tracker's own shard count, so a snapshot taken at one shard count restores
-// into any other.
+// logical state — regardless of slot layout or lazy-expiry position —
+// export identical state.
 
 // PairState is one tracked pair's exported window column.
 type PairState struct {
@@ -24,8 +22,8 @@ type PairState struct {
 	Window window.SlotState
 }
 
-// ShardedTrackerState is the full serializable state of a ShardedTracker.
-type ShardedTrackerState struct {
+// TrackerState is the full serializable state of a Tracker.
+type TrackerState struct {
 	Pairs   []PairState // sorted by Key.Compare
 	NowNano int64
 	SinceGC int64
@@ -34,76 +32,63 @@ type ShardedTrackerState struct {
 // ExportState returns the tracker's full state with pairs sorted by
 // Key.Compare and every counter advanced to the tracker clock. Safe for
 // concurrent use, though callers wanting a consistent engine snapshot must
-// quiesce producers externally (the engine's ingest gate does).
+// quiesce producers externally (the engine lock does).
 //
-//enblogue:acquires pairsShard
-func (tr *ShardedTracker) ExportState() ShardedTrackerState {
-	st := ShardedTrackerState{
-		NowNano: tr.nowNano.Load(),
-		SinceGC: tr.sinceGC.Load(),
-		Pairs:   make([]PairState, 0, tr.npairs.Load()),
+//enblogue:acquires pairs
+func (tr *Tracker) ExportState() TrackerState {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	st := TrackerState{
+		NowNano: tr.nowNano,
+		SinceGC: tr.sinceGC,
+		Pairs:   make([]PairState, 0, len(tr.slots)),
 	}
 	now := tr.now()
-	for _, sh := range tr.shards {
-		sh.mu.Lock()
-		var abs int64
+	var abs int64
+	if !now.IsZero() {
+		abs = tr.arena.BucketIndex(now)
+	}
+	for slot, k := range tr.keys {
+		if k == (Key{}) {
+			continue
+		}
 		if !now.IsZero() {
-			abs = sh.arena.BucketIndex(now)
+			// Advance to the tracker clock so exported heads agree across
+			// slots and trackers — expiry is lazy, so this changes only the
+			// representation, never any observable count.
+			tr.arena.ValueAtAbs(int32(slot), abs)
 		}
-		for slot, k := range sh.keys {
-			if k == (Key{}) {
-				continue
-			}
-			if !now.IsZero() {
-				// Advance to the shared clock so exported heads agree across
-				// slots and trackers — expiry is lazy, so this changes only
-				// the representation, never any observable count.
-				sh.arena.ValueAtAbs(int32(slot), abs)
-			}
-			st.Pairs = append(st.Pairs, PairState{Key: k, Window: sh.arena.ExportSlot(int32(slot))})
-		}
-		sh.mu.Unlock()
+		st.Pairs = append(st.Pairs, PairState{Key: k, Window: tr.arena.ExportSlot(int32(slot))})
 	}
 	sort.Slice(st.Pairs, func(i, j int) bool { return st.Pairs[i].Key.Less(st.Pairs[j].Key) })
 	return st
 }
 
-// RestoreState loads st into an empty tracker, assigning each pair to the
-// shard its key hashes to under this tracker's shard count. Restoring into a
-// tracker that has already observed documents is an error.
+// RestoreState loads st into an empty tracker. Restoring into a tracker
+// that has already observed documents is an error.
 //
-//enblogue:acquires pairsShard
-func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
-	if tr.npairs.Load() != 0 || tr.nowNano.Load() != 0 {
+//enblogue:acquires pairs
+func (tr *Tracker) RestoreState(st TrackerState) error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.slots) != 0 || tr.nowNano != 0 {
 		return errors.New("pairs: restore into a non-empty tracker")
 	}
-	n := len(tr.shards)
 	for _, p := range st.Pairs {
 		if p.Key == (Key{}) {
 			return errors.New("pairs: restore of a zero pair key")
 		}
-		sh := tr.shards[p.Key.Shard(n)]
-		sh.mu.Lock()
-		if _, dup := sh.slots[p.Key]; dup {
-			sh.mu.Unlock()
+		if _, dup := tr.slots[p.Key]; dup {
 			return fmt.Errorf("pairs: duplicate pair %s in restore state", p.Key)
 		}
-		slot := sh.arena.Alloc()
-		if err := sh.arena.RestoreSlot(slot, p.Window); err != nil {
-			sh.arena.Release(slot)
-			sh.mu.Unlock()
+		slot := tr.allocLocked(p.Key)
+		if err := tr.arena.RestoreSlot(slot, p.Window); err != nil {
+			tr.dropLocked(p.Key, slot)
 			return err
 		}
-		sh.slots[p.Key] = slot
-		for int(slot) >= len(sh.keys) {
-			sh.keys = append(sh.keys, Key{})
-		}
-		sh.keys[slot] = p.Key
-		tr.npairs.Add(1)
-		sh.mu.Unlock()
 	}
-	tr.nowNano.Store(st.NowNano)
-	tr.sinceGC.Store(st.SinceGC)
+	tr.nowNano = st.NowNano
+	tr.sinceGC = st.SinceGC
 	return nil
 }
 

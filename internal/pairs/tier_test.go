@@ -8,13 +8,13 @@ import (
 	"enblogue/internal/tier"
 )
 
-// tierTestConfig is a single-shard tracker with a tiny pair budget and a
+// tierTestConfig is a tracker with a tiny pair budget and a
 // tail tier sized so the test's demotions cannot collide in the sketch.
 // SweepEvery is effectively disabled: sweeps fire only on budget overflow.
 func tierTestConfig() Config {
 	return Config{
 		Buckets: 8, Resolution: time.Hour,
-		MaxPairs: 30, SweepEvery: 1 << 30, Shards: 1,
+		MaxPairs: 30, SweepEvery: 1 << 30,
 		Tail: &tier.Config{Epsilon: 0.001, Delta: 0.001, TopK: 256},
 	}
 }
@@ -30,7 +30,7 @@ func tierTestConfig() Config {
 // eviction target of 27, so a sweep fires when the 31st pair lands and
 // evicts the 4 smallest.
 func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
-	tr := NewShardedTracker(tierTestConfig())
+	tr := NewTracker(tierTestConfig())
 	p := MakeKey("a0", "a1")
 	demoted := map[Key]float64{}
 	events := 0
@@ -38,13 +38,13 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 
 	at := shT0
 	single := func(prefix string, i int) {
-		tr.Observe(at, []string{fmt.Sprintf("%sa%02d", prefix, i), fmt.Sprintf("%sb%02d", prefix, i)}, nil)
+		observe(tr, at, []string{fmt.Sprintf("%sa%02d", prefix, i), fmt.Sprintf("%sb%02d", prefix, i)}, nil)
 	}
 
 	// Phase A: P enters, 34 singleton pairs overflow the budget twice.
 	// Sweep 1 (at 31 pairs) evicts P and the 3 smallest z-pairs; sweep 2
 	// evicts 4 more z-pairs; the phase ends exactly at the 27-pair target.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	observe(tr, at, []string{"a0", "a1"}, nil)
 	for i := 0; i < 34; i++ {
 		single("z", i)
 	}
@@ -59,7 +59,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	// three fresh pairs push the tracker to 31, and the sweep evicts P a
 	// second time. Its sketch estimate is now 2; every other victim holds 1,
 	// and the admission floor is 1.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	observe(tr, at, []string{"a0", "a1"}, nil)
 	for i := 0; i < 3; i++ {
 		single("y", i)
 	}
@@ -71,7 +71,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	}
 
 	// Promotion: only P's estimate (2) strictly beats the floor (1).
-	if got := tr.PromoteTail(at); got != 1 {
+	if got := tr.PromoteTail(); got != 1 {
 		t.Fatalf("PromoteTail promoted %d pairs, want exactly P", got)
 	}
 	if !tr.ApproxSeeded(p) {
@@ -81,7 +81,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 		t.Fatalf("repromoted counter %v, want sketch-seeded upper bound %v", got, demoted[p])
 	}
 	// Promotion removed P from the tail summaries: nothing left to promote.
-	if got := tr.PromoteTail(at); got != 0 {
+	if got := tr.PromoteTail(); got != 0 {
 		t.Fatalf("second PromoteTail promoted %d pairs, want 0", got)
 	}
 
@@ -91,9 +91,6 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	}
 	if ts.Promotions != 1 || ts.ApproxSeededPairs != 1 {
 		t.Fatalf("promotions %d / approx-seeded %d, want 1 / 1", ts.Promotions, ts.ApproxSeededPairs)
-	}
-	if len(ts.EvictedByShard) != 1 || len(ts.DemotedByShard) != 1 {
-		t.Fatalf("per-shard slices sized %d/%d, want 1/1", len(ts.EvictedByShard), len(ts.DemotedByShard))
 	}
 	if got := ts.EvictedByShard[0]; got != int64(events) {
 		t.Fatalf("evicted counter %d, want %d observed evictions", got, events)
@@ -107,47 +104,42 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 
 	// A fresh observation of the promoted pair accumulates on top of the
 	// seed — the counter keeps covering pre-eviction mass.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	observe(tr, at, []string{"a0", "a1"}, nil)
 	if got := tr.Cooccurrence(p); got != demoted[p]+1 {
 		t.Fatalf("counter %v after one more observation, want %v", got, demoted[p]+1)
 	}
 }
 
 // TestTailStatsWithTierDisabled pins the counters that predate the tier:
-// per-shard eviction counts are live without a tail, demotion counts and
-// tier fields stay zero.
+// eviction counts are live without a tail, demotion counts and tier fields
+// stay zero, and the per-shard counter slices hold the one partition.
 func TestTailStatsWithTierDisabled(t *testing.T) {
 	cfg := tierTestConfig()
 	cfg.Tail = nil
-	cfg.Shards = 4
-	tr := NewShardedTracker(cfg)
+	tr := NewTracker(cfg)
 	if tr.TailEnabled() {
 		t.Fatal("TailEnabled true without a tail config")
 	}
 
 	at := shT0
 	for i := 0; i < 64; i++ {
-		tr.Observe(at, []string{fmt.Sprintf("za%02d", i), fmt.Sprintf("zb%02d", i)}, nil)
+		observe(tr, at, []string{fmt.Sprintf("za%02d", i), fmt.Sprintf("zb%02d", i)}, nil)
 	}
 	ts := tr.TailStats()
 	if ts.Enabled {
 		t.Fatal("TailStats.Enabled true without a tail")
 	}
-	if len(ts.EvictedByShard) != 4 || len(ts.DemotedByShard) != 4 {
-		t.Fatalf("per-shard slices sized %d/%d, want 4/4", len(ts.EvictedByShard), len(ts.DemotedByShard))
+	if len(ts.EvictedByShard) != 1 || len(ts.DemotedByShard) != 1 {
+		t.Fatalf("per-shard slices sized %d/%d, want 1/1", len(ts.EvictedByShard), len(ts.DemotedByShard))
 	}
-	var evicted, demotedN int64
-	for i := range ts.EvictedByShard {
-		evicted += ts.EvictedByShard[i]
-		demotedN += ts.DemotedByShard[i]
-	}
+	evicted, demotedN := ts.EvictedByShard[0], ts.DemotedByShard[0]
 	if evicted == 0 {
 		t.Fatal("no evictions counted despite budget overflow")
 	}
 	if demotedN != 0 || ts.TailPairs != 0 || ts.Promotions != 0 {
 		t.Fatalf("tier-disabled stats carry tier state: %+v", ts)
 	}
-	if got := tr.PromoteTail(at); got != 0 {
+	if got := tr.PromoteTail(); got != 0 {
 		t.Fatalf("PromoteTail promoted %d pairs without a tail", got)
 	}
 }

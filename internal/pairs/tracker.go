@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"enblogue/internal/intern"
 	"enblogue/internal/tier"
 	"enblogue/internal/window"
 )
@@ -23,12 +22,9 @@ type Config struct {
 	// SweepEvery controls eviction frequency in observed documents.
 	// Zero means 2048.
 	SweepEvery int
-	// Shards partitions the pair space for ShardedTracker; the serial
-	// Tracker ignores it. Zero or one means a single shard.
-	Shards int
 	// Tail, when non-nil, enables the cold tier (internal/tier) on the
-	// ShardedTracker: pairs evicted over MaxPairs are demoted into a
-	// per-shard windowed Count-Min sketch + heavy-hitter summary instead of
+	// Tracker: pairs evicted over MaxPairs are demoted into a windowed
+	// Count-Min sketch + heavy-hitter summary instead of
 	// being forgotten, and are promoted back — counter seeded from the
 	// upper-bound sketch estimate — when their estimate crosses the
 	// admission floor (PromoteTail). Tail.Span is ignored; the tracker sets
@@ -63,9 +59,7 @@ const smallTagSet = 16
 // first-seen order; pair generation assumes a set. When the input is
 // already clean — the overwhelming case — the input slice itself is
 // returned, so callers must treat the result as transient and must not
-// mutate it. Shared by the serial, sharded, and distribution trackers so
-// candidate generation stays identical across them — the sharded engine's
-// bit-identical-rankings guarantee depends on it.
+// mutate it. Shared by the pair and distribution trackers.
 func dedupTags(tags []string) []string {
 	if len(tags) <= smallTagSet {
 		clean := true
@@ -112,13 +106,6 @@ func dedupTags(tags []string) []string {
 	return uniq
 }
 
-// The candidate rule, shared by the serial and sharded trackers (each
-// inlines the double loop to keep its hot path closure-free): every
-// unordered pair of distinct tags from the deduplicated document tag set of
-// which at least one is a seed; a nil predicate admits every pair. The rule
-// must stay identical across trackers — another leg of the
-// bit-identical-rankings guarantee.
-
 // counted pairs an evictable entry with its windowed count, for
 // deterministic smallest-first eviction.
 type counted[K any] struct {
@@ -138,17 +125,14 @@ func evictTarget(maxPairs int) int {
 	return t
 }
 
-// evictSmallest deletes the entries with the smallest counts (ties broken
-// by less on the keys, ascending) until at most keep remain, invoking drop
-// for each victim with its windowed count — the count is what the tail
-// tier absorbs on demotion, and victims arrive smallest-first so the last
-// drop carries the admission floor. Every tracker's over-budget eviction
-// routes through here so the ordering stays identical across the serial,
-// sharded, and distribution paths — the sharded engine's
-// bit-identical-rankings guarantee depends on it.
-func evictSmallest[K any](all []counted[K], keep int, less func(a, b K) bool, drop func(K, float64)) {
+// evictionVictims returns the entries to evict so that at most keep
+// remain: the smallest counts, ties broken by less on the keys, in
+// ascending order — so the last victim carries the admission floor. It
+// sorts all in place. Both trackers' over-budget eviction routes through
+// here, so both evict in one deterministic order.
+func evictionVictims[K any](all []counted[K], keep int, less func(a, b K) bool) []counted[K] {
 	if len(all) <= keep {
-		return
+		return nil
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].v != all[j].v {
@@ -156,164 +140,393 @@ func evictSmallest[K any](all []counted[K], keep int, less func(a, b K) bool, dr
 		}
 		return less(all[i].key, all[j].key)
 	})
-	for _, e := range all[:len(all)-keep] {
-		drop(e.key, e.v)
-	}
+	return all[:len(all)-keep]
 }
 
 // keyLess is the eviction tie-break for pair keys: the rendered-string
 // order, computed without rendering (Key.Less).
 func keyLess(a, b Key) bool { return a.Less(b) }
 
+// PairCount is one tracked pair and its windowed co-occurrence count, as
+// returned by Tracker.AppendSnapshot. Slot is the pair's arena slot —
+// stable for the pair's whole tracked lifetime — which the engine forwards
+// to the shift detector as a state-cache hint.
+type PairCount struct {
+	Key   Key
+	Count float64
+	Slot  int32
+}
+
 // Tracker maintains windowed co-occurrence counts for candidate tag pairs.
 // Candidates are generated per document: every unordered pair of distinct
 // document tags of which at least one satisfies the seed predicate ("pairs
-// of tags that contain at least one seed tag"). Counters live in a shared
-// CounterArena slab rather than one heap object per pair. Not safe for
-// concurrent use.
+// of tags that contain at least one seed tag"). Counters live in one
+// slab-allocated CounterArena rather than one heap object per pair. Safe
+// for concurrent use: one mutex guards all state, and it is held across a
+// whole ObserveBatch, so a batch's sweeps fire after exactly the documents
+// a document-at-a-time stream would sweep after.
 type Tracker struct {
-	cfg     Config
-	slots   map[Key]int32
-	arena   *window.CounterArena
-	now     time.Time
-	sinceGC int
-	evicted int64
+	cfg Config
 
-	// onEvict, when set, observes every over-budget eviction with the
-	// victim's windowed count at eviction time — the seam the cold tier
-	// (and tests cross-validating sketch estimates against ground truth)
-	// hang off. Emptied-window drops are not reported: their count is zero,
-	// there is nothing to remember.
+	// mu guards every field below. The cold tier's own lock (class tier,
+	// order 45) is only ever taken while mu is held — demotion from the
+	// sweep, promotion from PromoteTail — an ascending acquisition.
+	//
+	//enblogue:lock pairs 40
+	mu    sync.Mutex
+	slots map[Key]int32
+	arena *window.CounterArena
+	// keys is the reverse index: keys[slot] names the pair occupying that
+	// arena slot, zero Key for free slots (a valid pair key is never zero —
+	// interned IDs are biased by +1 before packing). Snapshots and sweeps
+	// walk it in slot order, turning the per-tick scan into sequential slab
+	// reads instead of a map iteration; slot order is insertion-stable
+	// across ticks, which also keeps downstream detector-state access
+	// sequential.
+	keys []Key
+	// approx maps pairs whose counters were seeded from a tail-tier sketch
+	// estimate at promotion (upper bounds, not exact counts) to the seeded
+	// amount. The sweep subtracts the seed when such a pair is re-evicted:
+	// the seed's mass never left the Count-Min sketch, so re-demoting it
+	// would compound the estimate on every promote→evict cycle. Nil until
+	// the first promotion; entries are cleared when the pair is dropped.
+	approx  map[Key]float64
+	nowNano int64 // max observed event time, unix nanos; 0 before any document
+	sinceGC int64 // documents observed since the last sweep
+	// evicted counts lifetime over-budget evictions; demoted counts those
+	// absorbed by the tail tier (equal to evicted while the tier is
+	// enabled, zero when disabled).
+	evicted, demoted int64
+
+	// tail is the cold tier (nil when disabled): the sweep demotes every
+	// over-budget eviction victim into it, and PromoteTail re-admits tail
+	// pairs whose estimates cross the admission floor.
+	tail *tier.Tail
+	// floor is the admission floor: the windowed count of the largest pair
+	// the last over-budget sweep evicted. A tail pair must beat it to be
+	// promoted — i.e. its estimate must show it would have survived that
+	// eviction.
+	floor      float64
+	promotions int64
+	// onEvict, when set via SetOnEvict, observes every over-budget
+	// eviction with the victim's windowed count — the test seam for
+	// cross-validating tail estimates against exact ground truth. Called
+	// with mu held; it must not call back into the tracker.
 	onEvict func(Key, float64)
 
-	// per-document scratch, reused so steady-state Observe allocates
-	// nothing.
-	ids  []uint32
-	seed []bool
+	// Reused working sets, so steady-state observation and sweeps allocate
+	// nothing: one document's interned IDs and seed flags, and the
+	// over-budget sweep's ranking buffer.
+	ids      []uint32
+	seed     []bool
+	sweepAll []counted[Key]
 }
 
 // NewTracker returns a pair tracker with the given configuration.
 func NewTracker(cfg Config) *Tracker {
 	c := cfg.withDefaults()
-	return &Tracker{
+	tr := &Tracker{
 		cfg:   c,
 		slots: make(map[Key]int32),
 		arena: window.NewCounterArena(c.Buckets, c.Resolution),
 	}
+	if c.Tail != nil {
+		tcfg := *c.Tail
+		tcfg.Span = int64(c.Buckets) * int64(c.Resolution)
+		tr.tail = tier.New(tcfg)
+	}
+	return tr
 }
 
-// Span returns the co-occurrence window span.
-func (tr *Tracker) Span() time.Duration {
-	return time.Duration(tr.cfg.Buckets) * tr.cfg.Resolution
+// SetOnEvict installs the eviction observer; see the field doc. Must be
+// set before the first observation.
+func (tr *Tracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
+
+// TailEnabled reports whether the cold tier is active.
+func (tr *Tracker) TailEnabled() bool { return tr.tail != nil }
+
+// now returns the tracker clock: the max event time observed so far.
+func (tr *Tracker) now() time.Time {
+	if tr.nowNano == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, tr.nowNano)
 }
 
-// Observe records one document's tag set at time t, incrementing the
-// co-occurrence count of every candidate pair. isSeed decides candidacy; a
-// nil isSeed treats every tag as a seed (all pairs tracked).
-func (tr *Tracker) Observe(t time.Time, tags []string, isSeed func(string) bool) {
-	if t.After(tr.now) {
-		tr.now = t
-	}
-	if len(tags) < 2 {
-		tr.maybeSweep()
-		return
-	}
-	uniq := dedupTags(tags)
-	tr.ids = tr.ids[:0]
-	tr.seed = tr.seed[:0]
-	for _, tag := range uniq {
-		tr.ids = append(tr.ids, intern.Intern(tag))
-		if isSeed != nil {
-			tr.seed = append(tr.seed, isSeed(tag))
-		}
-	}
-	for i := 0; i < len(tr.ids); i++ {
-		for j := i + 1; j < len(tr.ids); j++ {
-			if isSeed != nil && !tr.seed[i] && !tr.seed[j] {
-				continue
-			}
-			tr.inc(KeyFromIDs(tr.ids[i], tr.ids[j]), t)
-		}
-	}
-	tr.maybeSweep()
-}
-
-// inc upserts pair k's arena slot and records the event at time t.
-func (tr *Tracker) inc(k Key, t time.Time) {
+// incLocked upserts pair k's counter slot and records an event in the
+// absolute window bucket abs.
+//
+//enblogue:requires pairs
+//enblogue:hotpath
+func (tr *Tracker) incLocked(k Key, abs int64) {
 	slot, ok := tr.slots[k]
 	if !ok {
-		slot = tr.arena.Alloc()
-		tr.slots[k] = slot
+		slot = tr.allocLocked(k)
 	}
-	tr.arena.Inc(slot, t)
+	tr.arena.IncAbs(slot, abs)
 }
 
-func (tr *Tracker) maybeSweep() {
-	tr.sinceGC++
-	if tr.sinceGC < tr.cfg.SweepEvery && len(tr.slots) <= tr.cfg.MaxPairs {
+// allocLocked gives pair k a fresh arena slot and indexes it both ways.
+//
+//enblogue:requires pairs
+func (tr *Tracker) allocLocked(k Key) int32 {
+	slot := tr.arena.Alloc()
+	tr.slots[k] = slot
+	for int(slot) >= len(tr.keys) {
+		tr.keys = append(tr.keys, Key{})
+	}
+	tr.keys[slot] = k
+	return slot
+}
+
+// dropLocked removes pair k's slot.
+//
+//enblogue:requires pairs
+func (tr *Tracker) dropLocked(k Key, slot int32) {
+	delete(tr.slots, k)
+	delete(tr.approx, k)
+	tr.keys[slot] = Key{}
+	tr.arena.Release(slot)
+}
+
+// sweepDueLocked reports whether a sweep trigger is pending: SweepEvery
+// documents observed since the last sweep, or the pair budget exceeded.
+//
+//enblogue:requires pairs
+func (tr *Tracker) sweepDueLocked() bool {
+	return tr.sinceGC >= int64(tr.cfg.SweepEvery) || len(tr.slots) > tr.cfg.MaxPairs
+}
+
+// Sweep advances every counter to the tracker clock, drops pairs whose
+// windows have emptied, and — if the tracker is still over MaxPairs —
+// evicts the pairs with the smallest windowed counts, ties broken by key.
+//
+//enblogue:acquires pairs
+//enblogue:acquires tier
+func (tr *Tracker) Sweep() {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.sweepLocked()
+}
+
+// sweepLocked is Sweep's body.
+//
+//enblogue:requires pairs
+//enblogue:acquires tier
+func (tr *Tracker) sweepLocked() {
+	tr.sinceGC = 0
+	now := tr.now()
+	if now.IsZero() {
 		return
 	}
-	tr.sinceGC = 0
-	//enblogue:unordered per-key delete of emptied counters; deletions are independent and commute
-	for k, slot := range tr.slots {
-		if tr.arena.ValueAt(slot, tr.now) == 0 {
-			delete(tr.slots, k)
-			tr.arena.Release(slot)
+	for slot, k := range tr.keys {
+		if k != (Key{}) && tr.arena.ValueAt(int32(slot), now) == 0 {
+			tr.dropLocked(k, int32(slot))
 		}
 	}
 	if len(tr.slots) <= tr.cfg.MaxPairs {
 		return
 	}
-	// Still over budget: evict the smallest co-occurrence counts.
-	all := make([]counted[Key], 0, len(tr.slots))
-	//enblogue:unordered collects every pair; evictSmallest ranks by (count, key), a strict total order independent of input order
+	// Still over budget: evict the smallest co-occurrence counts. Victims
+	// arrive smallest-first, so the last one defines the admission floor.
+	// Each victim is demoted into the tail; one whose counter was
+	// sketch-seeded demotes only its excess over the seed — the seed's
+	// mass is still resident in the sketch, and re-adding it would double
+	// the estimate on every promote→evict cycle until inflated tail pairs
+	// crowd out genuinely heavy ones. The floor of one event keeps the pair
+	// in the heavy-hitter summary (and so promotable) even when nothing new
+	// was observed; the overshoot stays on the safe, upper-bound side.
+	all := tr.sweepAll[:0]
+	//enblogue:unordered collects every pair; evictionVictims ranks by (count, key), a strict total order independent of input order
 	for k, slot := range tr.slots {
 		all = append(all, counted[Key]{k, tr.arena.Value(slot)})
 	}
-	evictSmallest(all, evictTarget(tr.cfg.MaxPairs), keyLess, func(k Key, count float64) {
-		tr.arena.Release(tr.slots[k])
-		delete(tr.slots, k)
+	for _, v := range evictionVictims(all, evictTarget(tr.cfg.MaxPairs), keyLess) {
+		seed := tr.approx[v.key] // zero for never-promoted pairs
+		tr.dropLocked(v.key, tr.slots[v.key])
 		tr.evicted++
-		if tr.onEvict != nil {
-			tr.onEvict(k, count)
+		tr.floor = v.v
+		if tr.tail != nil {
+			amt := v.v
+			if seed > 0 {
+				if amt -= seed; amt < 1 {
+					amt = 1
+				}
+			}
+			tr.tail.Demote(tr.nowNano, v.key.packed, uint64(amt))
+			tr.demoted++
 		}
-	})
+		if tr.onEvict != nil {
+			tr.onEvict(v.key, v.v)
+		}
+	}
+	tr.sweepAll = all
 }
 
-// SetOnEvict installs the eviction observer; see the field doc. Must be
-// set before the first Observe.
-func (tr *Tracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
+// PromoteTail re-admits every tail pair whose windowed estimate strictly
+// exceeds the admission floor, seeding its exact counter with the estimate
+// (an upper bound — see internal/tier) at the bucket containing the
+// tracker clock and flagging it approximate. Promotions are capped at the
+// tracker's current headroom under MaxPairs, best estimates first (ties
+// broken by rendered key order, like eviction), so a promotion burst cannot
+// blow the memory budget and then thrash the next sweep. Promoted keys
+// leave the tail summaries; their sketch mass decays on the generation
+// schedule. Returns the number of pairs promoted. The engine calls this at
+// tick time, before evaluation snapshots, so promoted pairs are scored in
+// the same tick.
+//
+//enblogue:acquires pairs
+//enblogue:acquires tier
+func (tr *Tracker) PromoteTail() int {
+	if tr.tail == nil {
+		return 0
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	headroom := tr.cfg.MaxPairs - len(tr.slots)
+	if headroom <= 0 || tr.nowNano == 0 {
+		// Full, or no document observed yet (the tail is necessarily empty).
+		return 0
+	}
+	cands := tr.tail.AppendCandidates(tr.nowNano, uint64(tr.floor), nil)
+	if len(cands) == 0 {
+		return 0
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].Est != cands[j].Est {
+			return cands[i].Est > cands[j].Est
+		}
+		return Key{packed: cands[i].Key}.Less(Key{packed: cands[j].Key})
+	})
+	if len(cands) > headroom {
+		cands = cands[:headroom]
+	}
+	abs := tr.nowNano / int64(tr.cfg.Resolution)
+	for _, c := range cands {
+		k := Key{packed: c.Key}
+		slot, ok := tr.slots[k]
+		if !ok {
+			slot = tr.allocLocked(k)
+		}
+		// If the pair re-emerged on its own since demotion, the counter
+		// holds only post-eviction events; the estimate covers the
+		// pre-eviction mass, so adding keeps the seeded total an upper
+		// bound on the true windowed count.
+		tr.arena.AddAbs(slot, abs, float64(c.Est))
+		if tr.approx == nil {
+			tr.approx = make(map[Key]float64)
+		}
+		// Accumulate, not assign: a pair promoted twice without an eviction
+		// in between (impossible today — Remove gates re-candidacy on a
+		// fresh demotion — but cheap to keep correct) carries both seeds.
+		tr.approx[k] += float64(c.Est)
+		tr.tail.Remove(c.Key)
+	}
+	tr.promotions += int64(len(cands))
+	return len(cands)
+}
 
-// Evicted returns the lifetime count of over-budget evictions.
-func (tr *Tracker) Evicted() int64 { return tr.evicted }
+// ApproxSeeded reports whether pair k is currently tracked with a counter
+// seeded from a tail-tier estimate (an upper bound, not an exact count).
+//
+//enblogue:acquires pairs
+func (tr *Tracker) ApproxSeeded(k Key) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	_, ok := tr.approx[k]
+	return ok
+}
+
+// TailStats is a point-in-time view of the cold tier and the eviction
+// counters feeding it. The eviction counters are always populated
+// (eviction counting predates the tier and works with it disabled); the
+// tier fields are zero when Enabled is false.
+type TailStats struct {
+	Enabled           bool
+	TailPairs         int     // distinct pairs in the live tail summaries
+	Epsilon           float64 // configured Count-Min error fraction
+	ErrorBound        float64 // epsilon × live windowed tail mass
+	Promotions        int64   // lifetime tail→exact promotions
+	ApproxSeededPairs int     // tracked pairs whose counters are sketch-seeded
+	// EvictedByShard and DemotedByShard are the lifetime over-budget
+	// evictions and, of those, the ones the tail absorbed. The tracker is
+	// unsharded, so each holds exactly one element; they keep their
+	// per-shard shape because the /v1 stats wire format
+	// (evictedByShard/demotedByShard) and its consumers read them as
+	// slices.
+	EvictedByShard []int64
+	DemotedByShard []int64
+}
+
+// TailStats returns the current tier statistics. Safe for concurrent use.
+//
+//enblogue:acquires pairs
+//enblogue:acquires tier
+func (tr *Tracker) TailStats() TailStats {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	ts := TailStats{
+		ApproxSeededPairs: len(tr.approx),
+		EvictedByShard:    []int64{tr.evicted},
+		DemotedByShard:    []int64{tr.demoted},
+	}
+	if tr.tail == nil {
+		return ts
+	}
+	s := tr.tail.Stats()
+	ts.Enabled = true
+	ts.Promotions = tr.promotions
+	ts.TailPairs = s.Pairs
+	ts.Epsilon = s.Epsilon
+	ts.ErrorBound = s.Epsilon * float64(s.Mass)
+	return ts
+}
 
 // Cooccurrence returns the number of windowed documents carrying both tags
 // of the pair.
+//
+//enblogue:acquires pairs
 func (tr *Tracker) Cooccurrence(k Key) float64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	slot, ok := tr.slots[k]
 	if !ok {
 		return 0
 	}
-	return tr.arena.ValueAt(slot, tr.now)
+	return tr.arena.ValueAt(slot, tr.now())
 }
 
 // Series returns the per-bucket co-occurrence counts of the pair, oldest
 // first, or nil if the pair is not tracked.
+//
+//enblogue:acquires pairs
 func (tr *Tracker) Series(k Key) []float64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	slot, ok := tr.slots[k]
 	if !ok {
 		return nil
 	}
-	tr.arena.Observe(slot, tr.now)
+	tr.arena.Observe(slot, tr.now())
 	return tr.arena.Series(slot)
 }
 
 // ActivePairs returns the number of pairs currently tracked.
-func (tr *Tracker) ActivePairs() int { return len(tr.slots) }
+//
+//enblogue:acquires pairs
+func (tr *Tracker) ActivePairs() int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.slots)
+}
 
 // Keys returns all tracked pair keys in unspecified order. The slice is
 // freshly allocated.
+//
+//enblogue:acquires pairs
 func (tr *Tracker) Keys() []Key {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	out := make([]Key, 0, len(tr.slots))
 	//enblogue:unordered documented unspecified order; ranking consumers sort or select with a strict total order
 	for k := range tr.slots {
@@ -322,25 +535,44 @@ func (tr *Tracker) Keys() []Key {
 	return out
 }
 
-// KeysSorted returns all tracked pair keys sorted lexicographically by
-// their tag renderings, for deterministic iteration in evaluation ticks.
-func (tr *Tracker) KeysSorted() []Key {
-	out := tr.Keys()
-	sort.Slice(out, func(i, j int) bool {
-		a1, a2 := out[i].tags()
-		b1, b2 := out[j].tags()
-		if a1 != b1 {
-			return a1 < b1
+// AppendSnapshot appends every tracked pair — counters advanced to the
+// tracker clock — to buf and returns it. The engine passes a buffer reused
+// across ticks (buf[:0]) so the steady-state tick allocates nothing for
+// snapshots.
+//
+// Pairs are emitted in arena slot order (via the reverse key index), not
+// map order: the walk reads the counter slab sequentially, and the order
+// is insertion-stable across ticks so downstream per-pair state allocated
+// in first-snapshot order is also visited sequentially. Snapshot order
+// cannot affect rankings — per-pair evaluation is independent, and every
+// downstream selection (top-k heaps, final sorts) uses a strict total
+// order, so any input order yields the same ranking.
+//
+//enblogue:acquires pairs
+func (tr *Tracker) AppendSnapshot(buf []PairCount) []PairCount {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if cap(buf)-len(buf) < len(tr.slots) {
+		grown := make([]PairCount, len(buf), len(buf)+len(tr.slots))
+		copy(grown, buf)
+		buf = grown
+	}
+	now := tr.now()
+	if now.IsZero() {
+		for slot, k := range tr.keys {
+			if k != (Key{}) {
+				buf = append(buf, PairCount{Key: k, Count: tr.arena.Value(int32(slot)), Slot: int32(slot)})
+			}
 		}
-		return a2 < b2
-	})
-	return out
-}
-
-// Correlation evaluates measure m for the pair using the supplied per-tag
-// windowed counts and total document count.
-func (tr *Tracker) Correlation(k Key, m Measure, na, nb, n float64) float64 {
-	return m.Compute(tr.Cooccurrence(k), na, nb, n)
+		return buf
+	}
+	abs := tr.arena.BucketIndex(now) // one conversion for the whole walk
+	for slot, k := range tr.keys {
+		if k != (Key{}) {
+			buf = append(buf, PairCount{Key: k, Count: tr.arena.PeekAbs(int32(slot), abs), Slot: int32(slot)})
+		}
+	}
+	return buf
 }
 
 // DistTracker maintains, per tag, the windowed distribution of tags that
@@ -351,7 +583,7 @@ func (tr *Tracker) Correlation(k Key, m Measure, na, nb, n float64) float64 {
 // Memory is bounded: the total number of (tag, co-tag) counters is capped at
 // MaxPairs; when a sweep finds the tracker over budget, the counters with
 // the smallest windowed counts are evicted first — the same policy the
-// plain Tracker applies to pairs. Safe for concurrent use: all methods are
+// Tracker applies to pairs. Safe for concurrent use: all methods are
 // serialised by an internal mutex.
 type DistTracker struct {
 	//enblogue:lock pairsDist 55
@@ -369,19 +601,10 @@ func NewDistTracker(cfg Config) *DistTracker {
 	return &DistTracker{cfg: c, byTag: make(map[string]map[string]*window.Counter)}
 }
 
-// Observe records the co-tag distribution contributions of one document.
-//
-//enblogue:acquires pairsDist
-func (dt *DistTracker) Observe(t time.Time, tags []string) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	dt.observeLocked(t, tags)
-}
-
-// ObserveBatch records a run of documents in order under a single lock
-// acquisition. Per-document semantics — including sweep timing, which is
-// checked inside the lock after every document exactly as Observe does —
-// are identical to calling Observe per document.
+// ObserveBatch records the co-tag distribution contributions of a run of
+// documents, in order, under a single lock acquisition. Sweep timing is
+// checked after every document, so any split of a stream into batches
+// leaves the same state.
 //
 //enblogue:acquires pairsDist
 func (dt *DistTracker) ObserveBatch(docs []BatchDoc) {
@@ -392,7 +615,7 @@ func (dt *DistTracker) ObserveBatch(docs []BatchDoc) {
 	}
 }
 
-// observeLocked is Observe's body; callers must hold dt.mu.
+// observeLocked records one document; callers must hold dt.mu.
 //
 //enblogue:requires pairsDist
 func (dt *DistTracker) observeLocked(t time.Time, tags []string) {
@@ -460,20 +683,20 @@ func (dt *DistTracker) sweep() {
 		return
 	}
 	all := make([]counted[distKey], 0, dt.counters)
-	//enblogue:unordered collects every counter; evictSmallest ranks by (count, key), a strict total order independent of input order
+	//enblogue:unordered collects every counter; evictionVictims ranks by (count, key), a strict total order independent of input order
 	for tag, m := range dt.byTag {
 		//enblogue:unordered collect for deterministic global ranking; see outer loop
 		for co, c := range m {
 			all = append(all, counted[distKey]{distKey{tag, co}, c.Value()})
 		}
 	}
-	evictSmallest(all, evictTarget(dt.cfg.MaxPairs), distKeyLess, func(k distKey, _ float64) {
-		delete(dt.byTag[k.tag], k.co)
-		if len(dt.byTag[k.tag]) == 0 {
-			delete(dt.byTag, k.tag)
+	for _, v := range evictionVictims(all, evictTarget(dt.cfg.MaxPairs), distKeyLess) {
+		delete(dt.byTag[v.key.tag], v.key.co)
+		if len(dt.byTag[v.key.tag]) == 0 {
+			delete(dt.byTag, v.key.tag)
 		}
 		dt.counters--
-	})
+	}
 }
 
 // Counters returns the total number of (tag, co-tag) counters tracked.
@@ -520,7 +743,7 @@ func (dt *DistTracker) distributionLocked(tag string) map[string]float64 {
 // documents. The pair members themselves are excluded from both
 // distributions: the comparison asks whether a and b keep the same
 // *company*, and each is trivially its partner's company. Both snapshots
-// are taken under one lock acquisition, so a concurrent Observe cannot
+// are taken under one lock acquisition, so a concurrent ObserveBatch cannot
 // land between them and skew the comparison.
 //
 //enblogue:acquires pairsDist

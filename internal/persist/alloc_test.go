@@ -52,7 +52,7 @@ func TestWALAppendSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	items := allocItems(100)
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.TickEvery = 1000 * time.Hour // keep ticks out of the measurement
 
 	plain := core.New(cfg)

@@ -4,8 +4,8 @@
 // byte encoding is canonical — it serializes the engine's canonical state
 // export (sorted tags, sorted pair keys rendered through a snapshot-local
 // tag table, clocks advanced) — so two engines holding the same logical
-// state produce identical snapshot bytes regardless of shard count, intern
-// order, or arena slot layout. A golden-bytes test pins this per format
+// state produce identical snapshot bytes regardless of intern order or
+// arena slot layout. A golden-bytes test pins this per format
 // version.
 package persist
 
@@ -37,9 +37,8 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // fingerprint is the semantic engine configuration embedded in every
 // snapshot: the fields that change what state means. Throughput and wiring
-// knobs — Shards, Ingest*, Tagger, Durability itself — are deliberately
-// excluded: state snapshotted at one shard count restores at any other
-// (rankings are shard-count-independent), and the Tagger only matters at
+// knobs — Ingest*, Tagger, Durability itself — are deliberately excluded:
+// they never change what state means, and the Tagger only matters at
 // ingest time, where WAL replay re-runs it on the raw logged items.
 //
 // The tiered sketch tail (Config.TailSketch) is likewise excluded, from
@@ -204,7 +203,7 @@ func appendPredict(b []byte, s predict.State) []byte {
 // the state — pair windows, detector entries, ranking topics — sorted and
 // deduplicated. Keys are serialized as indexes into this table rather than
 // interned IDs, which is what makes snapshot bytes independent of intern
-// order (and therefore identical across runs and shard counts).
+// order (and therefore identical across runs).
 func tagTableOf(st *core.EngineState) ([]string, map[string]uint32) {
 	seen := make(map[string]uint32)
 	add := func(k pairs.Key) {

@@ -87,16 +87,16 @@ func openCaptured(t *testing.T, cfg core.Config) (*core.Engine, *Store) {
 // assertRecoversPrefix recovers dir into a fresh engine and asserts the
 // result is bit-identical to a never-crashed engine fed the recovered
 // prefix. Returns the recovered document count.
-func assertRecoversPrefix(t *testing.T, dir string, shards int) int64 {
+func assertRecoversPrefix(t *testing.T, dir string) int64 {
 	t.Helper()
 	items := testItems(t)
-	b := core.New(durableConfig(testConfig(shards), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	n := b.DocsProcessed()
 	if n < 0 || n > int64(len(items)) {
 		t.Fatalf("recovered %d docs, outside the stream", n)
 	}
-	mustEqualState(t, reference(items, int(n), shards), b)
+	mustEqualState(t, reference(items, int(n)), b)
 	return n
 }
 
@@ -173,7 +173,7 @@ func TestSnapshotCrashPoints(t *testing.T) {
 	for _, fp := range snapshotFaults {
 		t.Run(fp.name, func(t *testing.T) {
 			dir := t.TempDir()
-			e, s := openCaptured(t, durableConfig(testConfig(2), dir))
+			e, s := openCaptured(t, durableConfig(testConfig(), dir))
 			e.ConsumeBatch(items[:400])
 			if err := e.Snapshot(); err != nil {
 				t.Fatalf("baseline snapshot: %v", err)
@@ -194,7 +194,7 @@ func TestSnapshotCrashPoints(t *testing.T) {
 			// Crash: abandon e without Close.
 
 			assertNamedSnapshotsValid(t, dir)
-			if n := assertRecoversPrefix(t, dir, 2); n != 1000 {
+			if n := assertRecoversPrefix(t, dir); n != 1000 {
 				t.Fatalf("recovered %d docs, want the full 1000 (WAL is intact)", n)
 			}
 		})
@@ -207,7 +207,7 @@ func TestSnapshotCrashPoints(t *testing.T) {
 func TestSnapshotCrashLeavesStaleTmp(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:500])
 	a.Close()
 
@@ -216,7 +216,7 @@ func TestSnapshotCrashLeavesStaleTmp(t *testing.T) {
 		t.Fatalf("plant tmp: %v", err)
 	}
 
-	b := core.New(durableConfig(testConfig(2), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got := b.DocsProcessed(); got != 500 {
 		t.Fatalf("recovered %d docs with stale tmp present, want 500", got)
@@ -233,7 +233,7 @@ func TestSnapshotCrashLeavesStaleTmp(t *testing.T) {
 func TestWALWriteCrash(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
-	e, s := openCaptured(t, durableConfig(testConfig(2), dir))
+	e, s := openCaptured(t, durableConfig(testConfig(), dir))
 	e.ConsumeBatch(items[:300])
 
 	// Device stops accepting bytes partway through a record.
@@ -251,7 +251,7 @@ func TestWALWriteCrash(t *testing.T) {
 	}
 	// Crash.
 
-	n := assertRecoversPrefix(t, dir, 2)
+	n := assertRecoversPrefix(t, dir)
 	if n < 300 || n >= 600 {
 		t.Fatalf("recovered %d docs, want a torn prefix in [300, 600)", n)
 	}
@@ -263,7 +263,7 @@ func TestWALWriteCrash(t *testing.T) {
 func TestWALSyncCrash(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
-	cfg := durableConfig(testConfig(2), dir)
+	cfg := durableConfig(testConfig(), dir)
 	cfg.Durability.Fsync = core.FsyncAlways
 	e, s := openCaptured(t, cfg)
 	e.ConsumeBatch(items[:100])
@@ -278,7 +278,7 @@ func TestWALSyncCrash(t *testing.T) {
 	}
 	// Crash.
 
-	if n := assertRecoversPrefix(t, dir, 2); n != 400 {
+	if n := assertRecoversPrefix(t, dir); n != 400 {
 		t.Fatalf("recovered %d docs, want 400 (writes landed, only fsync failed)", n)
 	}
 }
@@ -289,7 +289,7 @@ func TestWALSyncCrash(t *testing.T) {
 func TestWALRotateCrash(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
-	e, s := openCaptured(t, durableConfig(testConfig(2), dir))
+	e, s := openCaptured(t, durableConfig(testConfig(), dir))
 	e.ConsumeBatch(items[:500])
 
 	s.create = func(path string) (walFile, error) {
@@ -304,7 +304,7 @@ func TestWALRotateCrash(t *testing.T) {
 	e.ConsumeBatch(items[500:700]) // un-logged: the live segment is gone
 	// Crash.
 
-	if n := assertRecoversPrefix(t, dir, 2); n != 500 {
+	if n := assertRecoversPrefix(t, dir); n != 500 {
 		t.Fatalf("recovered %d docs, want exactly the 500-doc rotation epoch", n)
 	}
 }
@@ -323,5 +323,5 @@ func TestUnusableDataDirPanics(t *testing.T) {
 			t.Fatal("core.New with an unusable data dir did not panic")
 		}
 	}()
-	core.New(durableConfig(testConfig(1), blocker))
+	core.New(durableConfig(testConfig(), blocker))
 }

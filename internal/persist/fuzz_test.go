@@ -15,10 +15,10 @@ import (
 // inside the format and mutates outward across every validation branch.
 
 func FuzzSnapshotDecode(f *testing.F) {
-	data, _ := goldenState(1)
+	data, _ := goldenState()
 	f.Add(data)
 	// A richer state: several ticks, decayed counters, a live ranking.
-	cfg := testConfig(2)
+	cfg := testConfig()
 	e := core.New(cfg)
 	docs := testItems(f)
 	e.ConsumeBatch(docs[:1200])

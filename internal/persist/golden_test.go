@@ -47,8 +47,8 @@ func goldenItems() []*stream.Item {
 	return items
 }
 
-func goldenState(shards int) ([]byte, core.Config) {
-	cfg := testConfig(shards)
+func goldenState() ([]byte, core.Config) {
+	cfg := testConfig()
 	e := core.New(cfg)
 	defer e.Close()
 	e.ConsumeBatch(goldenItems())
@@ -56,18 +56,14 @@ func goldenState(shards int) ([]byte, core.Config) {
 	return encodeSnapshot(cfg, &st), cfg
 }
 
-// TestGoldenSnapshotBytes pins three layers of byte stability: the same
-// state encodes identically across runs, across shard counts, and to the
-// exact bytes every build of FormatVersion 1 has produced.
+// TestGoldenSnapshotBytes pins two layers of byte stability: the same
+// state encodes identically across runs, and to the exact bytes every
+// build of FormatVersion 1 has produced.
 func TestGoldenSnapshotBytes(t *testing.T) {
-	run1, _ := goldenState(1)
-	run2, _ := goldenState(1)
+	run1, _ := goldenState()
+	run2, _ := goldenState()
 	if !bytes.Equal(run1, run2) {
 		t.Fatal("two runs over identical state produced different snapshot bytes")
-	}
-	sharded, _ := goldenState(8)
-	if !bytes.Equal(run1, sharded) {
-		t.Fatal("snapshot bytes depend on the shard count; the encoding must be layout-independent")
 	}
 
 	got := sha256.Sum256(run1)
@@ -90,7 +86,7 @@ an accidental layout change into encodeSnapshot — fix that instead.`,
 // TestGoldenRoundTrip keeps the golden fixture honest: the pinned bytes
 // must decode and restore into an engine that re-exports the same bytes.
 func TestGoldenRoundTrip(t *testing.T) {
-	data, cfg := goldenState(1)
+	data, cfg := goldenState()
 	d, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatalf("decode golden snapshot: %v", err)

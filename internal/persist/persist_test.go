@@ -33,7 +33,7 @@ func testItems(t testing.TB) []*stream.Item {
 }
 
 // testConfig is a small but tick-active engine configuration.
-func testConfig(shards int) core.Config {
+func testConfig() core.Config {
 	return core.Config{
 		WindowBuckets:    6,
 		WindowResolution: time.Hour,
@@ -42,7 +42,6 @@ func testConfig(shards int) core.Config {
 		SeedWarmupDocs:   20,
 		MinCooccurrence:  1,
 		TopK:             10,
-		Shards:           shards,
 	}
 }
 
@@ -59,7 +58,7 @@ func durableConfig(cfg core.Config, dir string) core.Config {
 }
 
 // stateBytes canonically encodes e's full state; two engines in the same
-// semantic state produce identical bytes regardless of shard count, intern
+// semantic state produce identical bytes regardless of slot layout, intern
 // order, or durability settings.
 func stateBytes(e *core.Engine) []byte {
 	st := e.ExportState()
@@ -78,8 +77,8 @@ func mustEqualState(t *testing.T, want, got *core.Engine) {
 
 // reference builds a never-persisted engine fed items[:n] — the state every
 // recovery in these tests must reproduce exactly.
-func reference(items []*stream.Item, n, shards int) *core.Engine {
-	e := core.New(testConfig(shards))
+func reference(items []*stream.Item, n int) *core.Engine {
+	e := core.New(testConfig())
 	e.ConsumeBatch(items[:n])
 	return e
 }
@@ -90,16 +89,16 @@ func TestRecoverFromWALOnly(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items)
 	// Abandon a without Close: the crash. Same-process writes are visible.
 
-	b := core.New(durableConfig(testConfig(2), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got, want := b.DocsProcessed(), int64(len(items)); got != want {
 		t.Fatalf("recovered %d docs, want %d", got, want)
 	}
-	mustEqualState(t, reference(items, len(items), 2), b)
+	mustEqualState(t, reference(items, len(items)), b)
 	if st, ok := b.DurabilityStats(); !ok || st.LastErr != "" {
 		t.Fatalf("recovery not clean: ok=%v lastErr=%q", ok, st.LastErr)
 	}
@@ -114,7 +113,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	crashAt := 2 * len(items) / 3
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(4), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:snapAt])
 	if err := a.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -122,7 +121,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	a.ConsumeBatch(items[snapAt:crashAt])
 	// Crash.
 
-	b := core.New(durableConfig(testConfig(4), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got, want := b.DocsProcessed(), int64(crashAt); got != want {
 		t.Fatalf("recovered %d docs, want %d", got, want)
@@ -130,27 +129,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	// The recovered engine keeps ranking identically on the rest of the
 	// stream — the durable restart is invisible to the output.
 	b.ConsumeBatch(items[crashAt:])
-	mustEqualState(t, reference(items, len(items), 4), b)
-}
-
-// TestRecoverAcrossShardCounts restores a snapshot written by a 1-shard
-// engine into an 8-shard engine: shard count is excluded from the config
-// fingerprint and the state is shard-layout independent.
-func TestRecoverAcrossShardCounts(t *testing.T) {
-	items := testItems(t)
-	dir := t.TempDir()
-
-	a := core.New(durableConfig(testConfig(1), dir))
-	a.ConsumeBatch(items[:len(items)/2])
-	if err := a.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	a.Close()
-
-	b := core.New(durableConfig(testConfig(8), dir))
-	defer b.Close()
-	b.ConsumeBatch(items[len(items)/2:])
-	mustEqualState(t, reference(items, len(items), 8), b)
+	mustEqualState(t, reference(items, len(items)), b)
 }
 
 // TestRecoverStrict pins the strict entry point: Recover into a fresh
@@ -159,7 +138,7 @@ func TestRecoverStrict(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:1000])
 	if err := a.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -167,7 +146,7 @@ func TestRecoverStrict(t *testing.T) {
 	a.ConsumeBatch(items[1000:1500])
 	a.Close()
 
-	b := core.New(testConfig(2))
+	b := core.New(testConfig())
 	defer b.Close()
 	pos, err := Recover(dir, b)
 	if err != nil {
@@ -176,7 +155,7 @@ func TestRecoverStrict(t *testing.T) {
 	if pos != 1500 {
 		t.Fatalf("Recover position = %d, want 1500", pos)
 	}
-	mustEqualState(t, reference(items, 1500, 2), b)
+	mustEqualState(t, reference(items, 1500), b)
 }
 
 // TestTornTailStopsCleanly cuts the final WAL record mid-line — the normal
@@ -186,7 +165,7 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:800])
 	a.Close()
 
@@ -202,7 +181,7 @@ func TestTornTailStopsCleanly(t *testing.T) {
 		t.Fatalf("truncate segment: %v", err)
 	}
 
-	b := core.New(testConfig(2))
+	b := core.New(testConfig())
 	defer b.Close()
 	pos, err := Recover(dir, b)
 	if err != nil {
@@ -211,7 +190,7 @@ func TestTornTailStopsCleanly(t *testing.T) {
 	if pos != 799 {
 		t.Fatalf("recovered position = %d, want 799 (torn record dropped)", pos)
 	}
-	mustEqualState(t, reference(items, 799, 2), b)
+	mustEqualState(t, reference(items, 799), b)
 }
 
 // TestSequenceGapIsStrictError deletes a middle WAL record: strict
@@ -221,7 +200,7 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:600])
 	a.Close()
 
@@ -237,13 +216,13 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 		t.Fatalf("rewrite segment: %v", err)
 	}
 
-	strict := core.New(testConfig(2))
+	strict := core.New(testConfig())
 	defer strict.Close()
 	if _, err := Recover(dir, strict); err == nil || !strings.Contains(err.Error(), "sequence gap") {
 		t.Fatalf("strict Recover over a gap = %v, want sequence-gap error", err)
 	}
 
-	b := core.New(durableConfig(testConfig(2), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got := b.DocsProcessed(); got != 300 {
 		t.Fatalf("graceful recovery kept %d docs, want the 300-doc prefix", got)
@@ -252,7 +231,7 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 	if !ok || !strings.Contains(st.LastErr, "sequence gap") {
 		t.Fatalf("graceful recovery did not surface the gap: ok=%v lastErr=%q", ok, st.LastErr)
 	}
-	mustEqualState(t, reference(items, 300, 2), b)
+	mustEqualState(t, reference(items, 300), b)
 }
 
 // TestFingerprintMismatch writes a snapshot under one semantic
@@ -262,14 +241,14 @@ func TestFingerprintMismatch(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:500])
 	if err := a.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	a.Close()
 
-	cfg := testConfig(2)
+	cfg := testConfig()
 	cfg.WindowBuckets = 12 // semantic change: different window geometry
 	b := core.New(cfg)
 	defer b.Close()
@@ -285,7 +264,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(testConfig(2), dir))
+	a := core.New(durableConfig(testConfig(), dir))
 	a.ConsumeBatch(items[:400])
 	if err := a.Snapshot(); err != nil {
 		t.Fatalf("Snapshot 1: %v", err)
@@ -309,7 +288,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("corrupt snapshot: %v", err)
 	}
 
-	b := core.New(durableConfig(testConfig(2), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got, want := b.DocsProcessed(), int64(1100); got != want {
 		t.Fatalf("recovered %d docs, want %d (older snapshot + full WAL tail)", got, want)
@@ -318,7 +297,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if !strings.Contains(st.LastErr, "checksum") && !strings.Contains(st.LastErr, "corrupt") {
 		t.Fatalf("fallback did not surface the corruption: lastErr=%q", st.LastErr)
 	}
-	mustEqualState(t, reference(items, 1100, 2), b)
+	mustEqualState(t, reference(items, 1100), b)
 }
 
 // TestPruneRetainsRecoverableSet takes several snapshots with
@@ -328,7 +307,7 @@ func TestPruneRetainsRecoverableSet(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	cfg := durableConfig(testConfig(2), dir)
+	cfg := durableConfig(testConfig(), dir)
 	cfg.Durability.KeepSnapshots = 1
 	a := core.New(cfg)
 	for _, cutoff := range []int{300, 600, 900} {
@@ -349,12 +328,12 @@ func TestPruneRetainsRecoverableSet(t *testing.T) {
 		}
 	}
 
-	b := core.New(durableConfig(testConfig(2), dir))
+	b := core.New(durableConfig(testConfig(), dir))
 	defer b.Close()
 	if got := b.DocsProcessed(); got != 1000 {
 		t.Fatalf("recovered %d docs after pruning, want 1000", got)
 	}
-	mustEqualState(t, reference(items, 1000, 2), b)
+	mustEqualState(t, reference(items, 1000), b)
 }
 
 // TestStatsSurface sanity-checks the DurabilityStats wiring end to end.
@@ -362,7 +341,7 @@ func TestStatsSurface(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	e := core.New(durableConfig(testConfig(2), dir))
+	e := core.New(durableConfig(testConfig(), dir))
 	defer e.Close()
 	e.ConsumeBatch(items[:200])
 	if err := e.Snapshot(); err != nil {
@@ -386,7 +365,7 @@ func TestStatsSurface(t *testing.T) {
 		t.Errorf("LastErr = %q, want clean", st.LastErr)
 	}
 
-	plain := core.New(testConfig(1))
+	plain := core.New(testConfig())
 	defer plain.Close()
 	if _, ok := plain.DurabilityStats(); ok {
 		t.Error("DurabilityStats reported ok on a non-durable engine")
@@ -432,8 +411,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 // tailConfig is testConfig with the tiered sketch tail enabled and a
 // MaxPairs cap small enough that the test workload overflows it, so the
 // tail actually absorbs demotions.
-func tailConfig(shards int) core.Config {
-	cfg := testConfig(shards)
+func tailConfig() core.Config {
+	cfg := testConfig()
 	cfg.MaxPairs = 200
 	cfg.TailSketch = core.TailSketchConfig{
 		Enabled: true, Epsilon: 0.01, Delta: 0.01, TopK: 128,
@@ -450,7 +429,7 @@ func TestTailSketchColdStartEmpty(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
 
-	a := core.New(durableConfig(tailConfig(2), dir))
+	a := core.New(durableConfig(tailConfig(), dir))
 	a.ConsumeBatch(items)
 	if before := a.TailStats(); !before.Enabled || before.TailPairs == 0 {
 		t.Fatalf("workload never populated the tail: %+v", before)
@@ -460,11 +439,11 @@ func TestTailSketchColdStartEmpty(t *testing.T) {
 	}
 	a.Close()
 
-	b := core.New(durableConfig(tailConfig(2), dir))
+	b := core.New(durableConfig(tailConfig(), dir))
 	defer b.Close()
 	// The exact tier restores bit-identically to an engine that never
 	// stopped...
-	ref := core.New(tailConfig(2))
+	ref := core.New(tailConfig())
 	ref.ConsumeBatch(items)
 	mustEqualState(t, ref, b)
 	// ...while the tail cold-starts empty.
@@ -479,29 +458,29 @@ func TestTailSketchColdStartEmpty(t *testing.T) {
 // vice versa with no format change.
 func TestTailSketchFingerprintCompatible(t *testing.T) {
 	items := testItems(t)
-	exact := func(shards int) core.Config {
-		cfg := tailConfig(shards)
+	exact := func() core.Config {
+		cfg := tailConfig()
 		cfg.TailSketch = core.TailSketchConfig{}
 		return cfg
 	}
 
 	for _, tc := range []struct {
 		name        string
-		write, read func(int) core.Config
+		write, read func() core.Config
 	}{
 		{"exact-into-tiered", exact, tailConfig},
 		{"tiered-into-exact", tailConfig, exact},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			a := core.New(durableConfig(tc.write(2), dir))
+			a := core.New(durableConfig(tc.write(), dir))
 			a.ConsumeBatch(items[:1000])
 			if err := a.Snapshot(); err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
 			a.Close()
 
-			b := core.New(durableConfig(tc.read(2), dir))
+			b := core.New(durableConfig(tc.read(), dir))
 			defer b.Close()
 			if got, want := b.DocsProcessed(), int64(1000); got != want {
 				t.Fatalf("recovered %d docs, want %d", got, want)

@@ -88,11 +88,13 @@ type AlertView struct {
 }
 
 // Hub fans ranking updates out to connected SSE clients. Slow clients drop
-// frames rather than stalling the broadcaster.
+// frames rather than stalling the broadcaster; every dropped frame is
+// counted (Dropped).
 type Hub struct {
 	mu      sync.Mutex
 	clients map[chan []byte]bool
 	last    []byte
+	dropped int64
 }
 
 // NewHub returns an empty hub.
@@ -114,9 +116,18 @@ func (h *Hub) Broadcast(v interface{}) error {
 		select {
 		case ch <- data:
 		default: // client buffer full: drop this frame for that client
+			h.dropped++
 		}
 	}
 	return nil
+}
+
+// Dropped returns the total number of frames discarded because a client's
+// buffer was full — one per client per dropped frame.
+func (h *Hub) Dropped() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dropped
 }
 
 // subscribe registers a client channel and returns it with the latest
@@ -348,7 +359,8 @@ func (s *Server) Follow(e Engine) { _ = s.FollowTenant(DefaultTenant, e) }
 // profile rerank + history record + JSON broadcast) ever falls more than
 // the buffer behind a bursty replay, the oldest ticks are skipped rather
 // than stalling the engine — history then has gaps. Drops are observable
-// as rankingsDropped in the tenant's stats.
+// as rankingsDropped in the tenant's stats, which also counts SSE frames
+// the tenant's hub dropped for clients that fell behind.
 func (s *Server) FollowTenant(name string, e Engine) error {
 	if err := core.ValidateTenantName(name); err != nil {
 		return err
@@ -421,9 +433,11 @@ type StatsView struct {
 	WALSegments     int       `json:"walSegments"`
 	WALBytes        int64     `json:"walBytes"`
 	LastSnapshotAt  time.Time `json:"lastSnapshotAt"`
-	// Tiered exact/sketch memory model (WithTailSketch). The per-shard
-	// eviction counters are live even with the tier disabled; the tier
-	// fields are zero then.
+	// Tiered exact/sketch memory model (WithTailSketch). The eviction
+	// counters are live even with the tier disabled; the tier fields are
+	// zero then. The engine is unsharded, so Shards is 1 and the ByShard
+	// slices hold one element; the fields keep their names and shapes
+	// because they are part of the /v1 wire contract.
 	TailEnabled         bool    `json:"tailEnabled"`
 	TailPairs           int     `json:"tailPairs"`
 	TailEpsilon         float64 `json:"tailEpsilon"`
@@ -595,8 +609,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	view := StatsView{
 		Clients:  t.hub.ClientCount(),
 		Profiles: t.registry.Len(),
-		Tenant:   t.name,
-		Uptime:   time.Since(t.created).Seconds(),
+		// Deliveries lost because a consumer fell behind, at either layer:
+		// SSE frames the hub dropped here, plus engine subscription drops
+		// below.
+		RankingsDropped: t.hub.Dropped(),
+		Tenant:          t.name,
+		Uptime:          time.Since(t.created).Seconds(),
 	}
 	if e != nil {
 		view.DocsProcessed = e.DocsProcessed()
@@ -605,7 +623,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		view.Seeds = len(e.Seeds())
 		view.LastEventTime = e.LastEventTime()
 		view.Subscriptions = e.Subscribers()
-		view.RankingsDropped = e.RankingsDropped()
+		view.RankingsDropped += e.RankingsDropped()
 		view.IndexedTags = e.IndexedTags()
 		view.MatchedLastTick = e.MatchedLastTick()
 		view.IngestDepth = e.IngestDepth()
@@ -624,8 +642,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// The tiered tail is likewise optional on the Engine interface; the
-		// per-shard eviction counters are populated even when the tier is
-		// disabled (TailEnabled false, tier fields zero).
+		// eviction counters are populated even when the tier is disabled
+		// (TailEnabled false, tier fields zero).
 		if tt, ok := e.(interface{ TailStats() core.TailStats }); ok {
 			ts := tt.TailStats()
 			view.TailEnabled = ts.Enabled

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,6 +69,10 @@ func TestHubSlowClientDropsFrames(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("broadcast blocked on slow client")
+	}
+	// Nobody reads ch: its 8 slots fill and every later frame is counted.
+	if got, want := h.Dropped(), int64(100-cap(ch)); got != want {
+		t.Errorf("Dropped = %d, want %d", got, want)
 	}
 }
 
@@ -246,5 +251,64 @@ func TestMovesAcrossTicks(t *testing.T) {
 	}
 	if moves[0].ID != "iceland+volcano" || moves[0].To != 0 || moves[0].From != 1 {
 		t.Errorf("move = %+v", moves[0])
+	}
+}
+
+// stalledWriter is an SSE response writer whose client has stopped reading:
+// the first frame Write blocks until release closes, signalling writing
+// once the handler is stuck.
+type stalledWriter struct {
+	header  http.Header
+	writing chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return len(p), nil
+}
+
+// A stalled SSE client must not stall publishing, and every frame its full
+// buffer discards must show up in the tenant's /v1 rankingsDropped.
+func TestStalledSSEClientDropsCounted(t *testing.T) {
+	s := New()
+	defer s.Close()
+	h := s.Handler()
+	w := &stalledWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx))
+	}()
+	defer func() {
+		cancel()
+		close(w.release)
+		<-served
+	}()
+	for s.Hub().ClientCount() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// The first frame parks the handler inside Write; the next 8 fill the
+	// client's buffer; the remaining 11 are dropped.
+	const frames = 20
+	s.PublishRanking(sampleRanking())
+	<-w.writing
+	for i := 1; i < frames; i++ {
+		s.PublishRanking(sampleRanking())
+	}
+
+	var stats StatsView
+	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(frames - 1 - 8); stats.RankingsDropped != want {
+		t.Errorf("rankingsDropped = %d, want %d frames dropped for the stalled client", stats.RankingsDropped, want)
 	}
 }

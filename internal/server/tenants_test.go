@@ -28,7 +28,6 @@ func testHubDefaults() core.Config {
 		SeedWarmupDocs:   5,
 		MinCooccurrence:  2,
 		TopK:             5,
-		Shards:           2,
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 // never renamed or removed, within the v1 major version. The multi-tenant
 // additions follow that rule: StatsView gained tenant (the answering
 // tenant's name), uptime (seconds since the tenant was created), and its
-// per-tenant rankingsDropped now counts only that tenant's engine;
+// per-tenant rankingsDropped now counts only that tenant's engine and SSE
+// hub;
 // TenantView and IngestView are new shapes, frozen on the same terms.
 // Example payloads are documented in DESIGN.md §5 and §7.
 

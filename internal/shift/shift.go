@@ -208,21 +208,6 @@ func (d *Detector) observe(st *state, i int32, corr float64) {
 	}
 }
 
-// BeginTick advances the detector's evaluation-round clock to t without
-// evaluating anything. Sharded engines call it on every shard detector at
-// the start of a tick so that a shard whose first pair arrives late still
-// agrees with a single global detector on which round it is — the round
-// number decides whether a first-seen pair gets a silent warm-up (round
-// one) or is scored against an implicit previous correlation of zero.
-// Evaluate and EvaluateCorrelation advance the clock themselves, so callers
-// evaluating through a single detector never need BeginTick.
-func (d *Detector) BeginTick(t time.Time) {
-	if tn := t.UnixNano(); tn > d.curTickNano {
-		d.curTickNano = tn
-		d.tickCount++
-	}
-}
-
 // Evaluate scores pair k at tick time t given the windowed counts: nab
 // documents with both tags, na/nb with each tag, n total. It updates the
 // pair's predictor with the measured correlation and returns the tick's
@@ -235,7 +220,7 @@ func (d *Detector) Evaluate(t time.Time, k pairs.Key, nab, na, nb, n float64) To
 
 // EvaluateInto is Evaluate writing the result through out instead of
 // returning it, with a slot hint and an admission floor: the engine's
-// per-shard evaluation loop reuses one Topic across tens of thousands of
+// evaluation loop reuses one Topic across tens of thousands of
 // pairs per tick, so the ~100-byte struct is not copied through two return
 // frames per pair. It reports whether out was filled; see
 // EvaluateCorrelationInto for the hint and floor contracts.

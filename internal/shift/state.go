@@ -11,9 +11,7 @@ import (
 )
 
 // This file is the shift detector's durability surface. Exports are
-// canonical — pairs sorted by Key.Compare across all shards — and restores
-// re-partition by the restoring Sharded's own shard count, so detector state
-// snapshotted at one shard count restores into any other. The slot-hint
+// canonical — pairs sorted by Key.Compare, not slab order. The slot-hint
 // cache (bySlot) and sweep deadline cache (keepUntilNano) are rebuildable
 // and deliberately not part of the state: a restored detector repopulates
 // them on first use with identical semantics.
@@ -26,8 +24,7 @@ type PairDetState struct {
 	Pred     predict.State
 }
 
-// DetectorState is the full serializable state of a Sharded detector (or a
-// single Detector, which is the one-shard case).
+// DetectorState is the full serializable state of a Detector.
 type DetectorState struct {
 	Pairs       []PairDetState // sorted by Key.Compare
 	CurTickNano int64
@@ -52,9 +49,9 @@ func (d *Detector) exportPairs(out []PairDetState) []PairDetState {
 	return out
 }
 
-// RestorePair loads one pair's detector state, allocating its slab entry.
+// restorePair loads one pair's detector state, allocating its slab entry.
 // The pair must not already have state.
-func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int64, pred predict.State) error {
+func (d *Detector) restorePair(k pairs.Key, dec window.DecayState, seenNano int64, pred predict.State) error {
 	if k == (pairs.Key{}) {
 		return errors.New("shift: restore of a zero pair key")
 	}
@@ -70,49 +67,27 @@ func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int6
 	return predict.Restore(d.preds[i], pred)
 }
 
-// setClock overwrites the detector's evaluation-round clock.
-func (d *Detector) setClock(curTickNano int64, tickCount int) {
-	d.curTickNano = curTickNano
-	d.tickCount = tickCount
-}
-
-// ExportState returns the sharded detector's full state with pairs sorted by
-// Key.Compare. The round clock is taken as the maximum across shards; the
-// engine keeps shard clocks in lockstep (BeginTick), so under engine use
-// every shard agrees with the exported value.
-func (s *Sharded) ExportState() DetectorState {
-	var st DetectorState
-	st.CurTickNano = s.dets[0].curTickNano
-	st.TickCount = int64(s.dets[0].tickCount)
-	for _, d := range s.dets {
-		if d.curTickNano > st.CurTickNano {
-			st.CurTickNano = d.curTickNano
-		}
-		if int64(d.tickCount) > st.TickCount {
-			st.TickCount = int64(d.tickCount)
-		}
-		st.Pairs = d.exportPairs(st.Pairs)
-	}
+// ExportState returns the detector's full state with pairs sorted by
+// Key.Compare.
+func (d *Detector) ExportState() DetectorState {
+	st := DetectorState{CurTickNano: d.curTickNano, TickCount: int64(d.tickCount)}
+	st.Pairs = d.exportPairs(nil)
 	sort.Slice(st.Pairs, func(i, j int) bool { return st.Pairs[i].Key.Less(st.Pairs[j].Key) })
 	return st
 }
 
-// RestoreState loads st into an empty sharded detector, assigning each pair
-// to the shard its key hashes to and setting every shard's round clock to
-// the exported value (restoring the lockstep invariant).
-func (s *Sharded) RestoreState(st DetectorState) error {
-	if s.ActiveStates() != 0 {
+// RestoreState loads st into an empty detector, including its
+// evaluation-round clock.
+func (d *Detector) RestoreState(st DetectorState) error {
+	if d.ActiveStates() != 0 {
 		return errors.New("shift: restore into a non-empty detector")
 	}
-	n := len(s.dets)
 	for _, p := range st.Pairs {
-		d := s.dets[p.Key.Shard(n)]
-		if err := d.RestorePair(p.Key, p.Decay, p.SeenNano, p.Pred); err != nil {
+		if err := d.restorePair(p.Key, p.Decay, p.SeenNano, p.Pred); err != nil {
 			return err
 		}
 	}
-	for _, d := range s.dets {
-		d.setClock(st.CurTickNano, int(st.TickCount))
-	}
+	d.curTickNano = st.CurTickNano
+	d.tickCount = int(st.TickCount)
 	return nil
 }

@@ -225,42 +225,6 @@ func (tr *Tracker) DocCount() float64 {
 	return tr.docs.Value()
 }
 
-// Counts returns a snapshot of every tracked tag's windowed count, advanced
-// to the tracker clock. A lookup of an untracked tag in the returned map
-// yields 0, matching Count. The sharded engine takes one snapshot per
-// evaluation tick so its parallel shard workers read tag counts without
-// touching (and mutating) the tracker concurrently.
-func (tr *Tracker) Counts() map[string]float64 {
-	out := make(map[string]float64, len(tr.slots))
-	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
-			continue
-		}
-		if v := tr.arena.PeekAbs(int32(slot), abs); v > 0 {
-			out[tag] = v
-		}
-	}
-	return out
-}
-
-// ForEachCount invokes fn for every tracked tag with a positive windowed
-// count, advanced to the tracker clock, in unspecified order. It is the
-// allocation-free form of Counts: the sharded engine rebuilds its reusable
-// per-tick count index through it instead of materialising a fresh map
-// every tick.
-func (tr *Tracker) ForEachCount(fn func(tag string, n float64)) {
-	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
-			continue
-		}
-		if v := tr.arena.PeekAbs(int32(slot), abs); v > 0 {
-			fn(tag, v)
-		}
-	}
-}
-
 // Popularity returns the sliding-window popularity of tag: the fraction of
 // windowed documents that carry it.
 func (tr *Tracker) Popularity(tag string) float64 {

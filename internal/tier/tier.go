@@ -17,7 +17,7 @@
 // decays on the same schedule as the exact tier's windowed counters instead
 // of accumulating forever.
 //
-// At tick time the pair tracker asks each shard's Tail for candidates whose
+// At tick time the pair tracker asks its Tail for candidates whose
 // estimated count crosses the current admission floor (the windowed count
 // of the largest pair the last over-budget sweep evicted) and re-inserts
 // them into the exact tier, seeding their counters from the sketch estimate
@@ -30,11 +30,10 @@
 // granularity of decay, and admission errs toward keeping potentially
 // emerging pairs.
 //
-// Each tracker shard owns one Tail guarded by its own mutex under the
-// lockdiscipline class `tier` (order 45): demotion acquires it while
-// holding the sweep lock (pairsSweep, 40) after all shard locks are
-// released, and promotion acquires it before taking shard locks
-// (pairsShard, 50) — both ascending.
+// The pair tracker owns one Tail, guarded by its own mutex under the
+// lockdiscipline class `tier` (order 45). The tracker calls it only while
+// holding its own lock (pairs, 40) — demotion from the sweep, promotion at
+// tick time — an ascending acquisition.
 package tier
 
 import (
@@ -54,7 +53,7 @@ type Config struct {
 	// Delta is the Count-Min failure probability. Default 0.01.
 	Delta float64
 	// TopK is the Space-Saving summary capacity — the maximum number of
-	// promotion candidates remembered per shard. Default 512.
+	// promotion candidates remembered. Default 512.
 	TopK int
 	// Span is the generation span in nanoseconds; pairs demoted more than
 	// two spans ago have fully decayed. The pair tracker passes its window
@@ -90,7 +89,7 @@ type Stats struct {
 	Demoted uint64  // lifetime demotions absorbed
 }
 
-// Tail is one shard's cold tier. All methods are safe for concurrent use;
+// Tail is the pair tracker's cold tier. All methods are safe for concurrent use;
 // the internal mutex belongs to the lockdiscipline class `tier` (order 45).
 type Tail struct {
 	//enblogue:lock tier 45

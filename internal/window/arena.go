@@ -9,7 +9,7 @@ import (
 // CounterArena is a slab allocator for unit-weight sliding-window counters:
 // the state of every counter lives in a handful of shared backing slices
 // (one bucket slab plus per-slot headers) instead of one heap object per
-// counter. A tracker shard that follows a hundred thousand pairs holds one
+// counter. A pair tracker that follows a hundred thousand pairs holds one
 // CounterArena, not a hundred thousand *Counter allocations — better cache
 // locality on the tick-time scan over all slots, and near-zero GC scanning
 // (the slabs contain no pointers).
@@ -29,7 +29,7 @@ import (
 // event count is needed.
 //
 // Slots are fixed-size, so freed slots are recycled through a free list.
-// Not safe for concurrent use; callers shard and lock around it.
+// Not safe for concurrent use; callers lock around it.
 type CounterArena struct {
 	res      time.Duration
 	nbuckets int

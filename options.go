@@ -15,7 +15,7 @@ import (
 //     (HubMaxTenants).
 //
 // Every engine construction path funnels through core.Config normalization,
-// so nonsensical settings (negative shards, zero windows, top-k < 1) are
+// so nonsensical settings (zero windows, negative seed counts, top-k < 1) are
 // clamped to the paper's defaults rather than building a wedged engine.
 
 // Option configures an Engine at construction — directly via New, or per
@@ -89,7 +89,7 @@ func WithMaxPairs(n int) Option {
 // unbounded tag vocabularies: pairs evicted by the MaxPairs cap are demoted
 // into a windowed Count-Min sketch (additive error at most epsilon × tail
 // mass with probability 1−delta) plus a Space-Saving heavy-hitter summary
-// of topK candidates per shard, and are promoted back into the exact tier —
+// of topK candidates, and are promoted back into the exact tier —
 // counter seeded from the upper-bound estimate, flagged approximate — when
 // their estimated count crosses the admission floor. Memory stays bounded
 // by MaxPairs + the fixed sketch size no matter how many distinct tags the
@@ -105,14 +105,6 @@ func WithTailSketch(epsilon, delta float64, topK int) Option {
 			TopK:    topK,
 		}
 	}
-}
-
-// WithShards partitions the pair space for concurrent tracking and
-// parallel tick evaluation. Rankings do not depend on the shard count on a
-// sequentially consumed stream, so this is purely a throughput knob
-// (default: one shard per available CPU).
-func WithShards(n int) Option {
-	return func(c *core.Config) { c.Shards = n }
 }
 
 // WithMeasure selects the pair correlation measure (default Jaccard).

@@ -10,7 +10,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The default matrix records ingest throughput (BenchmarkThroughput*),
+# The default matrix records ingest throughput (BenchmarkThroughput*:
+# BenchmarkThroughputBatched sweeps GOMAXPROCS × batch size; the engine is
+# unsharded, so there is no shard axis),
 # subscription-dispatch cost (BenchmarkBroadcastSubscribers: population
 # × matched-fraction; the 1%-matched column must stay ≥10× cheaper than
 # 100%-matched), the durability costs (BenchmarkWALAppend: ingest with
@@ -31,7 +33,7 @@ raw="$(go test -run '^$' -bench "$bench" -benchmem -benchtime "${BENCHTIME:-1s}"
 printf '%s\n' "$raw" >&2
 
 # go test suffixes every benchmark name with "-GOMAXPROCS" when it is not
-# 1 (e.g. shards-1 becomes shards-1-4 on a 4-CPU runner). Strip that
+# 1 (e.g. procs-1/batch-64 becomes procs-1/batch-64-4 on a 4-CPU runner). Strip that
 # machine detail at record time so names — and therefore the docs/s diff
 # below — stay comparable across machines; the value itself is kept as a
 # top-level field. GOMAXPROCS defaults to the processor count go sees.

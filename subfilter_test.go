@@ -1,7 +1,6 @@
 package enblogue_test
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,7 +12,7 @@ import (
 // This file holds the subscription-predicate determinism acceptance test:
 // a predicate-filtered subscription promises to deliver exactly the ticks
 // a full subscriber would have kept after filtering client-side — same
-// ticks, same topics, same scores, bit-identical — for any shard count.
+// ticks, same topics, same scores, bit-identical.
 // The client-side reference below is deliberately naive string-level
 // code, independent of the broker's interned-ID index, diff scratch, and
 // candidate collection: if the inverted index ever skips a subscriber it
@@ -184,8 +183,8 @@ func pickPredicates(t *testing.T, full []enblogue.Ranking) map[string]subPredica
 // predicated subscription per predicate (subscribed before the first
 // document, like the client-side reference starting from an empty view)
 // and returns each predicate's delivered sequence.
-func filteredReplay(items []*stream.Item, shards int, preds map[string]subPredicate) map[string][]enblogue.Ranking {
-	e := enblogue.New(enblogue.WithShards(shards))
+func filteredReplay(items []*stream.Item, preds map[string]subPredicate) map[string][]enblogue.Ranking {
+	e := enblogue.New()
 	type feed struct {
 		rec  []enblogue.Ranking
 		done chan struct{}
@@ -216,15 +215,15 @@ func filteredReplay(items []*stream.Item, shards int, preds map[string]subPredic
 }
 
 // TestFilteredSubscriberMatchesClientSideFilter is the acceptance test
-// for delta-driven predicate dispatch: across {tweets, archive} × shards
-// {1, 8}, every predicate's delivered sequence equals the client-side
-// filter of the full broadcast replay, tick for tick, bit-identically —
-// which also proves filtered deliveries are identical across shard
-// counts, since the full replay is.
+// for delta-driven predicate dispatch: on both {tweets, archive} workloads,
+// every predicate's delivered sequence equals the client-side filter of
+// the full broadcast replay, tick for tick, bit-identically. The
+// "shards-1" level names the engine's one partition and keeps the subtest
+// names of the sharded era.
 func TestFilteredSubscriberMatchesClientSideFilter(t *testing.T) {
 	for name, items := range equivWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
-			full := consumeSerial(items, 1)
+			full := consumeSerial(items)
 			if len(full) == 0 {
 				t.Fatalf("serial replay of %q published no rankings", name)
 			}
@@ -239,23 +238,21 @@ func TestFilteredSubscriberMatchesClientSideFilter(t *testing.T) {
 					t.Logf("predicate %q fires on every tick of %q; weak but still checked", pname, name)
 				}
 			}
-			for _, shards := range []int{1, 8} {
-				t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-					got := filteredReplay(items, shards, preds)
-					for pname := range preds {
-						if len(got[pname]) != len(want[pname]) {
-							t.Fatalf("predicate %q delivered %d ticks, client-side filter kept %d",
-								pname, len(got[pname]), len(want[pname]))
-						}
-						for i := range want[pname] {
-							if !reflect.DeepEqual(want[pname][i], got[pname][i]) {
-								t.Fatalf("predicate %q tick %d diverges:\n got  %+v\n want %+v",
-									pname, i, got[pname][i], want[pname][i])
-							}
+			t.Run("shards-1", func(t *testing.T) {
+				got := filteredReplay(items, preds)
+				for pname := range preds {
+					if len(got[pname]) != len(want[pname]) {
+						t.Fatalf("predicate %q delivered %d ticks, client-side filter kept %d",
+							pname, len(got[pname]), len(want[pname]))
+					}
+					for i := range want[pname] {
+						if !reflect.DeepEqual(want[pname][i], got[pname][i]) {
+							t.Fatalf("predicate %q tick %d diverges:\n got  %+v\n want %+v",
+								pname, i, got[pname][i], want[pname][i])
 						}
 					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
