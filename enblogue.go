@@ -166,21 +166,10 @@ func (e *Engine) Consume(it *Item) { e.core.Consume(it) }
 // each item in order. Safe for concurrent producers.
 func (e *Engine) ConsumeBatch(items []*Item) { e.core.ConsumeBatch(items) }
 
-// Enqueue appends one tuple to the engine's bounded ingest queue and
-// returns without waiting for it to be consumed: producers never block on
-// tick evaluation. A background drainer feeds queued items through the
-// batched consume path; Flush waits for the queue to empty. When the queue
-// is full, Enqueue blocks until space frees — or, configured with
-// WithIngestDropOldest, evicts the oldest queued items instead (counted by
-// IngestDropped).
-func (e *Engine) Enqueue(it *Item) { e.core.Enqueue(it) }
-
-// IngestDepth returns the number of items waiting in the ingest queue.
-func (e *Engine) IngestDepth() int { return e.core.IngestDepth() }
-
-// IngestDropped returns the total documents evicted from the ingest queue
-// under the drop-oldest backpressure policy.
-func (e *Engine) IngestDropped() int64 { return e.core.IngestDropped() }
+// runBatch is the run length Engine.Run hands to ConsumeBatch. Rankings do
+// not depend on it (TestRunMatchesSerial); it only sets how often the
+// engine's locks are taken.
+const runBatch = 512
 
 // Run drains a source into the engine and, when the source ends cleanly,
 // flushes a final evaluation tick at the last observed event time. It
@@ -188,12 +177,12 @@ func (e *Engine) IngestDropped() int64 { return e.core.IngestDropped() }
 // flushing, leaving the last completed tick as the published ranking.
 //
 // Items are fed through the batched consume path in source order — emitted
-// items accumulate into runs of up to the configured ingest batch size
-// (WithIngestMaxBatch) and each run is consumed in one ConsumeBatch call,
-// so rankings are bit-identical to per-item Consume while the engine pays
-// its locks per batch instead of per document.
+// items accumulate into runs of up to runBatch items and each run is
+// consumed in one ConsumeBatch call, so rankings are bit-identical to
+// per-item Consume while the engine pays its locks per batch instead of per
+// document.
 func (e *Engine) Run(ctx context.Context, src Source) error {
-	batch := make([]*Item, 0, e.core.Config().IngestMaxBatch)
+	batch := make([]*Item, 0, runBatch)
 	flush := func() {
 		e.core.ConsumeBatch(batch)
 		clear(batch) // release item references
@@ -215,8 +204,7 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 }
 
 // Flush runs a final evaluation tick at the last observed event time and
-// blocks until every published ranking has been delivered to subscribers
-// and callbacks.
+// blocks until every published ranking has been delivered to subscribers.
 func (e *Engine) Flush() { e.core.Flush() }
 
 // Tick forces an evaluation at time t; see the engine core for the

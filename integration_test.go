@@ -1,6 +1,6 @@
 // End-to-end integration tests: the full production path from dataset
 // generation through JSONL persistence, replay, the push DAG with entity
-// tagging and sketching, the engine, history, personalization alerts, and
+// tagging and a shared counting stage, the engine, history, personalization alerts, and
 // the SSE front-end — everything a deployment touches, in one flow.
 package enblogue_test
 
@@ -20,7 +20,6 @@ import (
 	"enblogue/internal/pairs"
 	"enblogue/internal/persona"
 	"enblogue/internal/server"
-	"enblogue/internal/sketch"
 	"enblogue/internal/source"
 	"enblogue/internal/stream"
 )
@@ -51,7 +50,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	}
 
 	// 2. Read it back (strict) and replay through the push DAG: dedup →
-	//    sketching synopsis → engine, with entity tagging enabled.
+	//    item counter → engine, with entity tagging enabled.
 	loaded, skipped, err := source.ReadJSONL(&buf, true)
 	if err != nil || skipped != 0 {
 		t.Fatalf("ReadJSONL: %v (skipped %d)", err, skipped)
@@ -83,13 +82,13 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	defer srv.Close()
 	srv.Follow(engine)
 
-	sketchOp := sketch.NewOperator(0.01, 0.01, 10, 1<<16)
+	counter := &stream.Counter{}
 	runner := stream.NewRunner(&source.Replayer{Docs: loaded})
 	runner.Add(&stream.Plan{
 		Name: "main",
 		Stages: []stream.Stage{
 			stream.Shared("dedup", func() stream.Operator { return stream.NewDedup(1 << 16) }),
-			stream.Shared("sketch", func() stream.Operator { return sketchOp }),
+			stream.Shared("counter", func() stream.Operator { return counter }),
 		},
 		Sink: engine,
 	})
@@ -104,12 +103,9 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("event pair missing from final ranking: %+v", final.Topics)
 	}
 
-	// 4. The sketch operator agrees with reality about volume.
-	if sketchOp.Items() != int64(len(loaded)) {
-		t.Errorf("sketch saw %d items, want %d", sketchOp.Items(), len(loaded))
-	}
-	if c := sketchOp.TagCount("volcano"); c < 100 {
-		t.Errorf("sketch TagCount(volcano) = %d, want >= event volume", c)
+	// 4. The shared stage saw every item once.
+	if n := counter.Count(); n != int64(len(loaded)) {
+		t.Errorf("counter saw %d items, want %d", n, len(loaded))
 	}
 
 	// The Follow feed publishes asynchronously from the broker dispatcher;
@@ -155,7 +151,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	//    personalized view, and the range-query endpoint.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/ranking")
+	resp, err := http.Get(ts.URL + "/v1/rankings")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +173,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Errorf("traveller view missing event: %+v", view.Profiles["traveller"])
 	}
 
-	resp, err = http.Get(ts.URL + "/history?k=3")
+	resp, err = http.Get(ts.URL + "/v1/rankings/history?k=3")
 	if err != nil {
 		t.Fatal(err)
 	}

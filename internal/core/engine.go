@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"enblogue/internal/entity"
-	"enblogue/internal/ingest"
 	"enblogue/internal/intern"
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
@@ -92,22 +91,6 @@ type Config struct {
 
 	// TopK is the ranking length. Zero means 20.
 	TopK int
-
-	// IngestQueueSize bounds the per-engine ingest ring buffer used by
-	// Enqueue (and everything layered on it: enblogue.Run, Hub tenants).
-	// Zero means 8192.
-	IngestQueueSize int
-	// IngestMaxBatch caps the documents one queue drain hands to
-	// ConsumeBatch. Zero means 512; values above IngestQueueSize are
-	// clamped to it.
-	IngestMaxBatch int
-	// IngestFlushInterval bounds how long the drainer waits for a partial
-	// batch to fill once at least one item is queued. Zero means 2ms.
-	IngestFlushInterval time.Duration
-	// IngestDropOldest switches queue backpressure from blocking producers
-	// (the default, which preserves every document) to evicting the oldest
-	// queued items, counted by IngestDropped and surfaced in /v1 stats.
-	IngestDropOldest bool
 
 	// UseEntities merges entity tags into the tag space ("combined with
 	// regular tags to detect tag/entity mixtures as emergent topics").
@@ -179,18 +162,6 @@ func (c Config) normalize() Config {
 	}
 	if c.TopK <= 0 {
 		c.TopK = 20
-	}
-	if c.IngestQueueSize <= 0 {
-		c.IngestQueueSize = 8192
-	}
-	if c.IngestMaxBatch <= 0 {
-		c.IngestMaxBatch = 512
-	}
-	if c.IngestMaxBatch > c.IngestQueueSize {
-		c.IngestMaxBatch = c.IngestQueueSize
-	}
-	if c.IngestFlushInterval <= 0 {
-		c.IngestFlushInterval = 2 * time.Millisecond
 	}
 	if c.TailSketch.Enabled {
 		if c.TailSketch.Epsilon <= 0 || c.TailSketch.Epsilon >= 1 {
@@ -279,13 +250,6 @@ type Engine struct {
 	// batchDocs is ConsumeBatch's pending-document buffer, reused across
 	// calls. Only ConsumeBatch and flushPendingLocked touch it, under mu.
 	batchDocs []pairs.BatchDoc
-
-	// ingest is the optional ring-buffer queue in front of ConsumeBatch,
-	// started lazily by the first Enqueue. ingestDone closes when the
-	// drainer goroutine exits.
-	ingestOnce sync.Once
-	ingest     atomic.Pointer[ingest.Queue]
-	ingestDone chan struct{}
 
 	// rankMu guards only the published ranking snapshot; it nests inside
 	// engine (tickLocked publishes while holding mu).
@@ -426,9 +390,7 @@ func (e *Engine) PublishRanking(r Ranking) {
 	e.broker.wait()
 }
 
-// Close shuts the ingest queue (if started) and the broker down: the queue
-// stops accepting items, its drainer consumes whatever is already queued
-// and exits, then the broker waits for in-flight deliveries to drain,
+// Close shuts the broker down: it waits for in-flight deliveries to drain,
 // stops the dispatcher, and closes every subscription channel. The engine
 // itself remains usable for Consume/Tick/CurrentRanking, but no further
 // rankings are delivered to subscribers. Call Flush first if the final
@@ -436,14 +398,10 @@ func (e *Engine) PublishRanking(r Ranking) {
 // from inside a subscription consumer that the dispatcher is feeding
 // synchronously.
 func (e *Engine) Close() {
-	if q := e.ingest.Load(); q != nil {
-		q.Close()
-		<-e.ingestDone
-	}
 	e.broker.close()
 	if e.dur != nil {
-		// After ingest has drained, so the final WAL sync covers every
-		// consumed document. Close is idempotent on the persistence side.
+		// Ingest is synchronous, so the final WAL sync covers every document
+		// consumed before Close. Close is idempotent on the persistence side.
 		e.dur.Close()
 	}
 }
@@ -580,85 +538,16 @@ func (e *Engine) flushPendingLocked(isSeed func(string) bool) {
 	e.batchDocs = e.batchDocs[:0]
 }
 
-// Enqueue appends one item to the engine's bounded ingest queue and returns
-// without waiting for it to be consumed: producers never block on tick
-// evaluation. The queue and its drainer goroutine start on first use; the
-// drainer dequeues batches (up to IngestMaxBatch, waiting at most
-// IngestFlushInterval to fill a partial batch) and feeds them through
-// ConsumeBatch, so a single producer's stream yields rankings
-// bit-identical to calling Consume directly. When the ring is full,
-// Enqueue blocks until space frees — or, with IngestDropOldest, evicts the
-// oldest queued items (counted by IngestDropped). Items enqueued after
-// Close are discarded.
-func (e *Engine) Enqueue(it *stream.Item) {
-	if it == nil {
-		return
-	}
-	e.ingestOnce.Do(e.startIngest)
-	e.ingest.Load().Put(it)
-}
-
-// startIngest builds the ingest queue and starts its drainer goroutine.
-func (e *Engine) startIngest() {
-	q := ingest.New(ingest.Config{
-		Size:          e.cfg.IngestQueueSize,
-		MaxBatch:      e.cfg.IngestMaxBatch,
-		FlushInterval: e.cfg.IngestFlushInterval,
-		DropOldest:    e.cfg.IngestDropOldest,
-	})
-	e.ingestDone = make(chan struct{})
-	e.ingest.Store(q)
-	go func() {
-		defer close(e.ingestDone)
-		buf := make([]*stream.Item, 0, e.cfg.IngestMaxBatch)
-		for {
-			batch, ok := q.Drain(buf[:0])
-			if len(batch) > 0 {
-				e.ConsumeBatch(batch)
-				clear(batch)
-				q.Done()
-			}
-			if !ok {
-				return
-			}
-			buf = batch
-		}
-	}()
-}
-
-// IngestDepth returns the number of items waiting in the ingest queue (0
-// when no queue has been started).
-func (e *Engine) IngestDepth() int {
-	if q := e.ingest.Load(); q != nil {
-		return q.Depth()
-	}
-	return 0
-}
-
-// IngestDropped returns the total documents evicted from the ingest queue
-// under the IngestDropOldest policy.
-func (e *Engine) IngestDropped() int64 {
-	if q := e.ingest.Load(); q != nil {
-		return q.Dropped()
-	}
-	return 0
-}
-
-// Flush implements stream.Flusher: it first waits for the ingest queue (if
-// started) to drain — every item enqueued before Flush is consumed — then
-// runs a final evaluation tick at the last observed event time — unless an
-// evaluation at (or after) that time already ran, in which case
-// re-evaluating would only feed every pair's predictor a duplicate
-// observation. Flush then blocks until every ranking published so far has
-// been fully delivered (subscription channels fed), establishing a
-// happens-before edge: state visible to the dispatcher before Flush is
-// safely readable after Flush returns.
+// Flush implements stream.Flusher: it runs a final evaluation tick at the
+// last observed event time — unless an evaluation at (or after) that time
+// already ran, in which case re-evaluating would only feed every pair's
+// predictor a duplicate observation. Flush then blocks until every ranking
+// published so far has been fully delivered (subscription channels fed),
+// establishing a happens-before edge: state visible to the dispatcher
+// before Flush is safely readable after Flush returns.
 //
 //enblogue:acquires engine
 func (e *Engine) Flush() {
-	if q := e.ingest.Load(); q != nil {
-		q.WaitIdle()
-	}
 	e.mu.Lock()
 	if at := e.LastEventTime(); !at.IsZero() && at.After(e.lastTick) {
 		e.tickLocked(at)

@@ -14,10 +14,10 @@ import (
 // (tags, pairs, detector, distributions — each sorted and clock-advanced by
 // its own exporter), so two engines holding the same logical state export
 // identical EngineStates regardless of internal slot layout.
-// Rebuildable caches (tick scratch, ingest queue, broker subscriptions,
-// interned-ID assignments) are deliberately excluded; rankings are
-// ID-independent, so a restored engine that re-interns tags in a different
-// order still ranks bit-identically.
+// Rebuildable caches (tick scratch, broker subscriptions, interned-ID
+// assignments) are deliberately excluded; rankings are ID-independent, so
+// a restored engine that re-interns tags in a different order still ranks
+// bit-identically.
 type EngineState struct {
 	Docs         int64
 	LastSeenNano int64

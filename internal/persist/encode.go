@@ -36,10 +36,10 @@ const (
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // fingerprint is the semantic engine configuration embedded in every
-// snapshot: the fields that change what state means. Throughput and wiring
-// knobs — Ingest*, Tagger, Durability itself — are deliberately excluded:
-// they never change what state means, and the Tagger only matters at
-// ingest time, where WAL replay re-runs it on the raw logged items.
+// snapshot: the fields that change what state means. Wiring knobs — the
+// Tagger and Durability itself — are deliberately excluded: they never
+// change what state means, and the Tagger only matters at ingest time,
+// where WAL replay re-runs it on the raw logged items.
 //
 // The tiered sketch tail (Config.TailSketch) is likewise excluded, from
 // both the fingerprint and the snapshot payload — a deliberate cold-start-

@@ -1,13 +1,10 @@
-// Package rank provides top-k selection over scored topics, ranked-list
-// diffing for the push front-end ("watch how the rankings for these topics
-// changes with time"), and rank-correlation statistics used to quantify
-// personalization effects (show case 3).
+// Package rank provides ranked-list diffing for the push front-end ("watch
+// how the rankings for these topics changes with time") and
+// rank-correlation statistics used to quantify personalization effects
+// (show case 3). Top-k selection itself lives in the engine's tick.
 package rank
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // Entry is a scored, identified ranking candidate.
 type Entry struct {
@@ -15,81 +12,8 @@ type Entry struct {
 	Score float64
 }
 
-// entryHeap is a min-heap on (Score, then reverse ID) so the weakest entry
-// sits at the root. Ties prefer evicting the lexicographically larger ID,
-// making top-k fully deterministic.
-type entryHeap []Entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].ID > h[j].ID
-}
-func (h entryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) { *h = append(*h, x.(Entry)) }
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// TopK retains the k highest-scoring entries offered to it, in O(log k) per
-// offer. The zero value is unusable; construct with NewTopK.
-type TopK struct {
-	k int
-	h entryHeap
-}
-
-// NewTopK returns a selector for the k best entries. It panics if k < 1.
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		panic("rank: top-k capacity < 1")
-	}
-	return &TopK{k: k}
-}
-
-// Offer submits a candidate; it is retained only if it ranks in the current
-// top k.
-func (t *TopK) Offer(e Entry) {
-	if len(t.h) < t.k {
-		heap.Push(&t.h, e)
-		return
-	}
-	worst := t.h[0]
-	if e.Score > worst.Score || (e.Score == worst.Score && e.ID < worst.ID) {
-		t.h[0] = e
-		heap.Fix(&t.h, 0)
-	}
-}
-
-// Len returns the number of retained entries.
-func (t *TopK) Len() int { return len(t.h) }
-
-// Ranked returns the retained entries ordered best-first (descending score,
-// ties broken by ascending ID). The selector remains usable afterwards.
-func (t *TopK) Ranked() List {
-	out := make(List, len(t.h))
-	copy(out, t.h)
-	out.Sort()
-	return out
-}
-
 // List is a ranked list of entries, best first.
 type List []Entry
-
-// Sort orders the list descending by score, ties by ascending ID.
-func (l List) Sort() {
-	sort.Slice(l, func(i, j int) bool {
-		if l[i].Score != l[j].Score {
-			return l[i].Score > l[j].Score
-		}
-		return l[i].ID < l[j].ID
-	})
-}
 
 // IDs returns the entry IDs in list order.
 func (l List) IDs() []string {
@@ -107,16 +31,6 @@ func (l List) Positions() map[string]int {
 		out[e.ID] = i
 	}
 	return out
-}
-
-// Rank returns the 0-based position of id, or -1 when absent.
-func (l List) Rank(id string) int {
-	for i, e := range l {
-		if e.ID == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // Move records one entry's rank change between two lists. From or To is -1

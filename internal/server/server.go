@@ -30,8 +30,8 @@ import (
 	"enblogue/internal/stream"
 )
 
-// Engine is the engine surface the server consumes: stats counters, the
-// subscription broker, and the ingest sink behind POST items. Both
+// Engine is the engine surface the server calls: stats counters, the
+// subscription broker, and the batched ingest sink behind POST items. Both
 // *core.Engine and the public enblogue engine satisfy it.
 type Engine interface {
 	DocsProcessed() int64
@@ -44,10 +44,7 @@ type Engine interface {
 	MatchedLastTick() int64
 	RankingsDropped() int64
 	Subscribe(ctx context.Context, opts ...core.SubOption) *core.Subscription
-	Consume(it *stream.Item)
 	ConsumeBatch(items []*stream.Item)
-	IngestDepth() int
-	IngestDropped() int64
 }
 
 // TopicView is the wire form of one ranked emergent topic.
@@ -213,11 +210,7 @@ type tenantState struct {
 //
 // The tenant-less /v1/{rankings,rankings/history,rankings/trajectory,
 // stream,profiles,stats} routes are permanent aliases onto the "default"
-// tenant — not deprecated — so single-stream deployments need never
-// mention tenants. The pre-versioning routes (/events, /ranking, /profile,
-// /profiles, /history, /trajectory, /stats) remain as deprecated aliases
-// for one release; they answer identically and carry a Deprecation header
-// pointing at their successor.
+// tenant, so single-stream deployments need never mention tenants.
 type Server struct {
 	// ctx bounds server-side subscriptions (Follow feeds, per-profile
 	// streams); Close cancels it.
@@ -427,12 +420,16 @@ type StatsView struct {
 	RankingsDropped int64     `json:"rankingsDropped"`
 	IndexedTags     int       `json:"indexedTags"`
 	MatchedLastTick int64     `json:"matchedLastTick"`
-	IngestDepth     int       `json:"ingestDepth"`
-	IngestDropped   int64     `json:"ingestDropped"`
-	SnapshotEpoch   int64     `json:"snapshotEpoch"`
-	WALSegments     int       `json:"walSegments"`
-	WALBytes        int64     `json:"walBytes"`
-	LastSnapshotAt  time.Time `json:"lastSnapshotAt"`
+	// IngestDepth and IngestDropped are always 0: ingest is synchronous
+	// (POST items and Engine.Run call ConsumeBatch directly), so nothing
+	// queues and nothing is dropped. They stay because they are part of
+	// the /v1 wire contract.
+	IngestDepth    int       `json:"ingestDepth"`
+	IngestDropped  int64     `json:"ingestDropped"`
+	SnapshotEpoch  int64     `json:"snapshotEpoch"`
+	WALSegments    int       `json:"walSegments"`
+	WALBytes       int64     `json:"walBytes"`
+	LastSnapshotAt time.Time `json:"lastSnapshotAt"`
 	// Tiered exact/sketch memory model (WithTailSketch). The eviction
 	// counters are live even with the tier disabled; the tier fields are
 	// zero then. The engine is unsharded, so Shards is 1 and the ByShard
@@ -518,7 +515,7 @@ func (s *Server) publish(t *tenantState, r core.Ranking) {
 	_ = t.hub.Broadcast(view)
 }
 
-// profileRequest is the POST /profile payload.
+// profileRequest is the POST /v1/profiles payload.
 type profileRequest struct {
 	Name       string   `json:"name"`
 	Keywords   []string `json:"keywords"`
@@ -527,22 +524,14 @@ type profileRequest struct {
 	Exclusive  bool     `json:"exclusive"`
 }
 
-// deprecated wraps a legacy handler with RFC 8594 deprecation headers
-// pointing at the /v1 successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
 // Handler returns the HTTP handler serving all endpoints: the tenant-scoped
-// /v1/tenants contract, the tenant-less /v1 aliases onto the default
-// tenant, and the deprecated pre-versioning aliases.
+// /v1/tenants contract and the tenant-less /v1 aliases onto the default
+// tenant.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
+	// "/{$}" matches only the root, so an unknown path is the mux's 404 and
+	// a known /v1 path with the wrong method is its 405.
+	mux.HandleFunc("GET /{$}", s.handleIndex)
 
 	// Tenant management and the tenant-scoped wire contract.
 	mux.HandleFunc("GET /v1/tenants", s.handleTenantsList)
@@ -571,15 +560,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/profiles/{name}", s.handleV1ProfileGet)
 	mux.HandleFunc("DELETE /v1/profiles/{name}", s.handleV1ProfileDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-
-	// Deprecated aliases, kept for one release.
-	mux.HandleFunc("/events", deprecated("/v1/stream", s.handleEvents))
-	mux.HandleFunc("/ranking", deprecated("/v1/rankings", s.handleRanking))
-	mux.HandleFunc("/profile", deprecated("/v1/profiles", s.handleProfile))
-	mux.HandleFunc("/profiles", deprecated("/v1/profiles", s.handleProfiles))
-	mux.HandleFunc("/history", deprecated("/v1/rankings/history", s.handleHistory))
-	mux.HandleFunc("/trajectory", deprecated("/v1/rankings/trajectory", s.handleTrajectory))
-	mux.HandleFunc("/stats", deprecated("/v1/stats", s.handleStats))
 	return mux
 }
 
@@ -626,8 +606,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		view.RankingsDropped += e.RankingsDropped()
 		view.IndexedTags = e.IndexedTags()
 		view.MatchedLastTick = e.MatchedLastTick()
-		view.IngestDepth = e.IngestDepth()
-		view.IngestDropped = e.IngestDropped()
 		// Durability is optional (both on the engine build and in the Engine
 		// interface, which predates it), so it is surfaced via assertion:
 		// engines without persistence report zero values.
@@ -663,19 +641,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, indexHTML)
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
+// streamBroadcast serves the tenant's broadcast SSE feed: every client
+// shares the single payload the hub marshalled for the tick.
+func (t *tenantState) streamBroadcast(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -706,42 +678,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	view := t.lastView
-	t.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(view); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	var req profileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad profile JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Name == "" {
-		http.Error(w, "profile name required", http.StatusBadRequest)
-		return
-	}
-	t.setProfile(&req)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // setProfile registers/replaces a profile on the tenant and forgets the
 // user's alert state so the new preferences re-alert.
 func (t *tenantState) setProfile(req *profileRequest) {
@@ -755,19 +691,6 @@ func (t *tenantState) setProfile(req *profileRequest) {
 	t.mu.Lock()
 	t.watcher.Reset(req.Name)
 	t.mu.Unlock()
-}
-
-func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	names := t.registry.Names()
-	sort.Strings(names)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(names); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // indexHTML is the minimal live demo page: an EventSource client rendering

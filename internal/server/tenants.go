@@ -189,6 +189,12 @@ const maxIngestBytes = 64 << 20
 // documents are counted as skipped.
 const maxIngestTagsPerDoc = 256
 
+// maxPredicateTags bounds each stream predicate tag list (?tags=,
+// ?allTags=). Compiling a predicate dedups its tags in quadratic time and
+// indexes it under the broker lock, so an unbounded list lets one request
+// stall every tick's dispatch; longer lists are rejected with a 400.
+const maxPredicateTags = 256
+
 // handleItemsIngest serves POST /v1/tenants/{tenant}/items: the body is
 // JSONL, one document per line in the cmd/datagen wire format ({"time",
 // "id", "tags", "entities"?, "text"?, "source"?}). The batch is sorted by

@@ -230,8 +230,7 @@ func TestTenantIngestEndToEnd(t *testing.T) {
 // determinism contract: a JSONL body fed through POST items (which
 // consumes the whole request in one ConsumeBatch) must leave the tenant's
 // engine with exactly the ranking a per-document Consume loop over the
-// same stream produces — and the ingest queue counters must surface in
-// the tenant's stats view.
+// same stream produces — and the stats view must keep its ingest gauges.
 func TestTenantIngestBatchedParity(t *testing.T) {
 	hub := testHub()
 	defer hub.Close()
@@ -278,8 +277,8 @@ func TestTenantIngestBatchedParity(t *testing.T) {
 		}
 	}
 
-	// The stats view carries the ingest queue gauges (zero here: the wire
-	// path consumes synchronously, no queue ever starts).
+	// The stats view keeps the ingest gauges of the /v1 wire shape, always
+	// zero: ingest is synchronous, so nothing queues.
 	w := get(t, h, "/v1/tenants/wire/stats")
 	var sv StatsView
 	if err := json.Unmarshal(w.Body.Bytes(), &sv); err != nil {

@@ -124,14 +124,19 @@ func (s *Server) handleV1Rankings(w http.ResponseWriter, r *http.Request) {
 // predicateOpts parses the stream predicate query parameters —
 // ?tags=a,b (any-of), ?allTags=a,b (all-of), ?minScore=0.5,
 // ?emergenceOnly=true — into subscription options. Returns nil options
-// when no predicate parameter is present.
+// when no predicate parameter is present, and an error for a tag list
+// longer than maxPredicateTags.
 func predicateOpts(q url.Values) ([]core.SubOption, error) {
 	var opts []core.SubOption
-	if tags := splitTagList(q.Get("tags")); len(tags) > 0 {
-		opts = append(opts, core.SubTags(tags...))
+	anyTags, allTags := splitTagList(q.Get("tags")), splitTagList(q.Get("allTags"))
+	if len(anyTags) > maxPredicateTags || len(allTags) > maxPredicateTags {
+		return nil, fmt.Errorf("a predicate tag list holds more than %d tags", maxPredicateTags)
 	}
-	if tags := splitTagList(q.Get("allTags")); len(tags) > 0 {
-		opts = append(opts, core.SubAllTags(tags...))
+	if len(anyTags) > 0 {
+		opts = append(opts, core.SubTags(anyTags...))
+	}
+	if len(allTags) > 0 {
+		opts = append(opts, core.SubAllTags(allTags...))
 	}
 	if v := q.Get("minScore"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -184,12 +189,12 @@ func (s *Server) handleV1Stream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if name == "" && len(predOpts) == 0 {
-		s.handleEvents(w, r)
-		return
-	}
 	t := s.tenantOr404(w, r)
 	if t == nil {
+		return
+	}
+	if name == "" && len(predOpts) == 0 {
+		t.streamBroadcast(w, r)
 		return
 	}
 	var p *persona.Profile

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -121,34 +123,42 @@ func TestV1ProfileCRUD(t *testing.T) {
 	}
 }
 
-func TestDeprecatedAliasesStillAnswer(t *testing.T) {
+// The pre-/v1 routes are gone: each answers 404 whatever the method, and
+// the tenant-less /v1 aliases that replace them answer without a
+// Deprecation header.
+func TestDeprecatedAliasesRemoved(t *testing.T) {
 	s := New()
 	h := s.Handler()
 	s.PublishRanking(sampleRanking())
 
-	for path, successor := range map[string]string{
-		"/ranking":  "/v1/rankings",
-		"/profiles": "/v1/profiles",
-		"/stats":    "/v1/stats",
+	for _, path := range []string{
+		"/events", "/ranking", "/profile", "/profiles", "/history", "/trajectory", "/stats",
+	} {
+		if w := get(t, h, path); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, w.Code)
+		}
+		if w := postJSON(t, h, path, `{"name":"bob"}`); w.Code != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, w.Code)
+		}
+	}
+	if s.Registry().Len() != 0 {
+		t.Errorf("a removed route registered a profile")
+	}
+	for _, path := range []string{
+		"/v1/rankings", "/v1/rankings/history", "/v1/profiles", "/v1/stats",
 	} {
 		w := get(t, h, path)
-		if w.Code != http.StatusOK {
-			t.Errorf("GET %s = %d", path, w.Code)
+		// Without an attached history the history route answers 404 by
+		// design (TestHistoryNotEnabled); every other alias answers 200.
+		if path != "/v1/rankings/history" && w.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, w.Code)
 		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s missing Deprecation header", path)
-		}
-		if link := w.Header().Get("Link"); !strings.Contains(link, successor) {
-			t.Errorf("%s Link = %q, want successor %s", path, link, successor)
+		if w.Header().Get("Deprecation") != "" {
+			t.Errorf("%s carries a Deprecation header", path)
 		}
 	}
-	// v1 routes carry no deprecation marker.
-	if w := get(t, h, "/v1/rankings"); w.Header().Get("Deprecation") != "" {
-		t.Error("/v1/rankings marked deprecated")
-	}
-	// Legacy POST /profile still works.
-	if w := postJSON(t, h, "/profile", `{"name":"bob"}`); w.Code != http.StatusNoContent {
-		t.Errorf("legacy POST /profile = %d", w.Code)
+	if w := postJSON(t, h, "/v1/profiles", `{"name":"bob"}`); w.Code != http.StatusCreated {
+		t.Errorf("POST /v1/profiles = %d, want 201", w.Code)
 	}
 }
 
@@ -269,4 +279,78 @@ func TestV1StreamUnknownProfileAndNoEngine(t *testing.T) {
 	if w := get(t, h, "/v1/stream?profile=solo"); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("no-engine profile stream = %d, want 503", w.Code)
 	}
+}
+
+// A predicate tag list longer than maxPredicateTags is rejected with a 400
+// before any subscription is compiled; a list at the limit opens a stream.
+func TestV1StreamRejectsOversizedTagList(t *testing.T) {
+	e := core.New(core.Config{})
+	defer e.Close()
+	s := New()
+	defer s.Close()
+	s.AttachEngine(e)
+	h := s.Handler()
+	tagList := func(n int) string {
+		tags := make([]string, n)
+		for i := range tags {
+			tags[i] = fmt.Sprintf("t%04d", i)
+		}
+		return strings.Join(tags, ",")
+	}
+	// stream serves one request whose context ends after a short while, so
+	// an accepted stream returns instead of parking.
+	stream := func(query string) int {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stream?"+query, nil).WithContext(ctx))
+		return w.Code
+	}
+	for _, param := range []string{"tags", "allTags"} {
+		if code := stream(param + "=" + tagList(1000)); code != http.StatusBadRequest {
+			t.Errorf("%s with 1000 tags = %d, want 400", param, code)
+		}
+		if code := stream(param + "=" + tagList(maxPredicateTags)); code != http.StatusOK {
+			t.Errorf("%s with %d tags = %d, want 200", param, maxPredicateTags, code)
+		}
+	}
+}
+
+// FuzzPredicateOpts drives arbitrary stream query strings through predicate
+// parsing and subscription compilation: nothing may panic, and an accepted
+// query yields at most one option per predicate parameter with every tag
+// list within maxPredicateTags.
+func FuzzPredicateOpts(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"tags=a,b&minScore=0.5",
+		"allTags=a, b ,,c&emergenceOnly=true",
+		"minScore=banana",
+		"emergenceOnly=maybe",
+		"tags=" + strings.Repeat("x,", 300),
+		"tags=%zz&allTags=;",
+	} {
+		f.Add(seed)
+	}
+	e := core.New(core.Config{})
+	defer e.Close()
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as http.Request.URL.Query does
+		opts, err := predicateOpts(q)
+		if err != nil {
+			if opts != nil {
+				t.Errorf("rejected query %q returned options", raw)
+			}
+			return
+		}
+		if len(opts) > 4 {
+			t.Errorf("query %q gave %d options, want at most 4", raw, len(opts))
+		}
+		for _, param := range []string{"tags", "allTags"} {
+			if n := len(splitTagList(q.Get(param))); n > maxPredicateTags {
+				t.Errorf("query %q accepted %d %s", raw, n, param)
+			}
+		}
+		e.Subscribe(context.Background(), opts...).Close()
+	})
 }

@@ -21,17 +21,18 @@ func TestSketchAgreesWithExactTagStats(t *testing.T) {
 		Buckets: 1000, Resolution: time.Hour, // effectively unbounded window
 	})
 	cm := NewCountMinWithError(0.005, 0.01)
-	tk := NewTopK(50)
-	truth := map[string]uint64{}
+	tk := NewTopKU64(50)
+	truth := map[uint64]uint64{}
+	tagOf := func(key uint64) string { return fmt.Sprintf("tag%03d", key) }
 
 	t0 := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 	const n = 30000
 	for i := 0; i < n; i++ {
-		tag := fmt.Sprintf("tag%03d", zipf.Uint64())
-		exact.Observe(t0.Add(time.Duration(i)*time.Second), []string{tag})
-		cm.Add(tag, 1)
-		tk.Add(tag)
-		truth[tag]++
+		key := zipf.Uint64()
+		exact.Observe(t0.Add(time.Duration(i)*time.Second), []string{tagOf(key)})
+		cm.AddU64(key, 1)
+		tk.Add(key, 1)
+		truth[key]++
 	}
 
 	// Exact top-10 vs Space-Saving top-10: heads must share >= 8 tags.
@@ -41,7 +42,7 @@ func TestSketchAgreesWithExactTagStats(t *testing.T) {
 		if i >= 10 {
 			break
 		}
-		approx[e.Key] = true
+		approx[tagOf(e.Key)] = true
 	}
 	shared := 0
 	for _, e := range exactTop {
@@ -54,13 +55,13 @@ func TestSketchAgreesWithExactTagStats(t *testing.T) {
 	}
 
 	// Count-Min: bounded one-sided error on every true count.
-	for tag, want := range truth {
-		got := cm.Count(tag)
+	for key, want := range truth {
+		got := cm.CountU64(key)
 		if got < want {
-			t.Fatalf("Count-Min underestimated %s: %d < %d", tag, got, want)
+			t.Fatalf("Count-Min underestimated %s: %d < %d", tagOf(key), got, want)
 		}
 		if got > want+uint64(0.005*float64(n))+1 {
-			t.Errorf("Count-Min overestimate on %s: %d vs %d", tag, got, want)
+			t.Errorf("Count-Min overestimate on %s: %d vs %d", tagOf(key), got, want)
 		}
 	}
 }

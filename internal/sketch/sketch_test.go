@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,14 +8,14 @@ import (
 
 func TestCountMinExact(t *testing.T) {
 	c := NewCountMin(4, 1024)
-	c.Add("a", 3)
-	c.Add("b", 5)
-	c.Add("a", 2)
-	if got := c.Count("a"); got != 5 {
-		t.Errorf("Count(a) = %d, want 5", got)
+	c.AddU64(1, 3)
+	c.AddU64(2, 5)
+	c.AddU64(1, 2)
+	if got := c.CountU64(1); got != 5 {
+		t.Errorf("CountU64(1) = %d, want 5", got)
 	}
-	if got := c.Count("b"); got != 5 {
-		t.Errorf("Count(b) = %d, want 5", got)
+	if got := c.CountU64(2); got != 5 {
+		t.Errorf("CountU64(2) = %d, want 5", got)
 	}
 	if got := c.Total(); got != 10 {
 		t.Errorf("Total = %d, want 10", got)
@@ -24,15 +23,15 @@ func TestCountMinExact(t *testing.T) {
 }
 
 func TestCountMinNeverUnderestimates(t *testing.T) {
-	f := func(keys []string) bool {
+	f := func(keys []uint64) bool {
 		c := NewCountMin(3, 64)
-		truth := map[string]uint64{}
+		truth := map[uint64]uint64{}
 		for _, k := range keys {
-			c.Add(k, 1)
+			c.AddU64(k, 1)
 			truth[k]++
 		}
 		for k, n := range truth {
-			if c.Count(k) < n {
+			if c.CountU64(k) < n {
 				return false
 			}
 		}
@@ -47,16 +46,16 @@ func TestCountMinErrorBound(t *testing.T) {
 	// epsilon=0.01, delta=0.01: overestimate should be <= eps*N nearly always.
 	c := NewCountMinWithError(0.01, 0.01)
 	rng := rand.New(rand.NewSource(42))
-	truth := map[string]uint64{}
+	truth := map[uint64]uint64{}
 	const n = 50000
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key%d", rng.Intn(2000))
-		c.Add(k, 1)
+		k := uint64(rng.Intn(2000))
+		c.AddU64(k, 1)
 		truth[k]++
 	}
 	bad := 0
 	for k, want := range truth {
-		if c.Count(k) > want+uint64(0.01*float64(n)) {
+		if c.CountU64(k) > want+uint64(0.01*float64(n)) {
 			bad++
 		}
 	}
@@ -67,10 +66,10 @@ func TestCountMinErrorBound(t *testing.T) {
 
 func TestCountMinReset(t *testing.T) {
 	c := NewCountMin(2, 16)
-	c.Add("x", 7)
+	c.AddU64(7, 7)
 	c.Reset()
-	if got := c.Count("x"); got != 0 {
-		t.Errorf("after Reset Count = %d, want 0", got)
+	if got := c.CountU64(7); got != 0 {
+		t.Errorf("after Reset CountU64 = %d, want 0", got)
 	}
 	if got := c.Total(); got != 0 {
 		t.Errorf("after Reset Total = %d, want 0", got)
@@ -83,8 +82,7 @@ func TestCountMinPanics(t *testing.T) {
 		"zero width":  func() { NewCountMin(8, 0) },
 		"bad epsilon": func() { NewCountMinWithError(0, 0.1) },
 		"bad delta":   func() { NewCountMinWithError(0.1, 1) },
-		"topk zero":   func() { NewTopK(0) },
-		"bloom rate":  func() { NewBloom(10, 2) },
+		"topk zero":   func() { NewTopKU64(0) },
 	} {
 		func() {
 			defer func() {
@@ -97,102 +95,64 @@ func TestCountMinPanics(t *testing.T) {
 	}
 }
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	f := func(keys []string) bool {
-		b := NewBloom(len(keys)+1, 0.01)
-		for _, k := range keys {
-			b.Add(k)
-		}
-		for _, k := range keys {
-			if !b.Contains(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(10000, 0.01)
-	for i := 0; i < 10000; i++ {
-		b.Add(fmt.Sprintf("in%d", i))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.Contains(fmt.Sprintf("out%d", i)) {
-			fp++
-		}
-	}
-	// Allow 5x slack over the design rate.
-	if fp > probes/20 {
-		t.Errorf("false positive rate %d/%d too high", fp, probes)
-	}
-	if b.Len() != 10000 {
-		t.Errorf("Len = %d, want 10000", b.Len())
-	}
-}
-
 func TestTopKExactWhenUnderCapacity(t *testing.T) {
-	tk := NewTopK(10)
-	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
-			tk.Add(fmt.Sprintf("k%d", i))
+	tk := NewTopKU64(10)
+	for i := uint64(0); i < 5; i++ {
+		for j := uint64(0); j <= i; j++ {
+			tk.Add(i, 1)
 		}
 	}
 	es := tk.Entries()
 	if len(es) != 5 {
 		t.Fatalf("got %d entries, want 5", len(es))
 	}
-	if es[0].Key != "k4" || es[0].Count != 5 || es[0].Error != 0 {
-		t.Errorf("top entry = %+v, want k4/5/0", es[0])
+	if es[0].Key != 4 || es[0].Count != 5 || es[0].Error != 0 {
+		t.Errorf("top entry = %+v, want 4/5/0", es[0])
 	}
-	if es[4].Key != "k0" || es[4].Count != 1 {
-		t.Errorf("bottom entry = %+v, want k0/1", es[4])
+	if es[4].Key != 0 || es[4].Count != 1 {
+		t.Errorf("bottom entry = %+v, want 0/1", es[4])
 	}
 }
 
 func TestTopKFindsHeavyHitters(t *testing.T) {
-	tk := NewTopK(20)
+	const heavy1, heavy2 = 1 << 40, 1<<40 + 1
+	tk := NewTopKU64(20)
 	rng := rand.New(rand.NewSource(1))
 	// Two heavy keys among uniform noise.
 	for i := 0; i < 20000; i++ {
 		switch {
 		case i%4 == 0:
-			tk.Add("heavy1")
+			tk.Add(heavy1, 1)
 		case i%5 == 0:
-			tk.Add("heavy2")
+			tk.Add(heavy2, 1)
 		default:
-			tk.Add(fmt.Sprintf("noise%d", rng.Intn(5000)))
+			tk.Add(uint64(rng.Intn(5000)), 1)
 		}
 	}
 	es := tk.Entries()
-	if es[0].Key != "heavy1" {
-		t.Errorf("top key = %q, want heavy1", es[0].Key)
+	if es[0].Key != heavy1 {
+		t.Errorf("top key = %d, want heavy1", es[0].Key)
 	}
-	if es[1].Key != "heavy2" {
-		t.Errorf("second key = %q, want heavy2", es[1].Key)
+	if es[1].Key != heavy2 {
+		t.Errorf("second key = %d, want heavy2", es[1].Key)
 	}
-	if _, ok := tk.Count("heavy1"); !ok {
+	if _, ok := tk.Count(heavy1); !ok {
 		t.Error("Count(heavy1) not tracked")
 	}
-	if _, ok := tk.Count("definitely-absent"); ok {
+	if _, ok := tk.Count(1 << 50); ok {
 		t.Error("Count of absent key reported as tracked")
 	}
 }
 
-// Property: Space-Saving count is always an upper bound on the true count,
-// and Count - Error is a lower bound.
+// Property: on a unit-weight stream, the Space-Saving count is always an
+// upper bound on the true count, and Count - Error is a lower bound.
 func TestTopKBounds(t *testing.T) {
 	f := func(raw []uint8) bool {
-		tk := NewTopK(8)
-		truth := map[string]uint64{}
+		tk := NewTopKU64(8)
+		truth := map[uint64]uint64{}
 		for _, r := range raw {
-			k := fmt.Sprintf("k%d", r%32)
-			tk.Add(k)
+			k := uint64(r % 32)
+			tk.Add(k, 1)
 			truth[k]++
 		}
 		for _, e := range tk.Entries() {
@@ -208,30 +168,5 @@ func TestTopKBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	c := NewCountMin(4, 4096)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("tag%d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Add(keys[i%len(keys)], 1)
-	}
-}
-
-func BenchmarkBloomContains(b *testing.B) {
-	bl := NewBloom(100000, 0.01)
-	for i := 0; i < 100000; i++ {
-		bl.Add(fmt.Sprintf("doc%d", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl.Contains(fmt.Sprintf("doc%d", i%200000))
 	}
 }
